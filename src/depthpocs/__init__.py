@@ -30,7 +30,7 @@ from .metrics import QualityScore, error_map, psnr, quality_g
 from .pgm import read_pgm, write_pgm
 from .pocs import IterationReport, RefineOptions, half_iteration, has_converged, refine
 from .scene import Box, Plane, SceneSpec, demo_scene, generate_scene
-from .warp import ProjectedSample, bilateral_filter, forward_warp, interpolate_at, project_view
+from .warp import bilateral_filter, forward_warp, project_view
 
 __all__ = [
     "BinConstraints",
@@ -39,7 +39,6 @@ __all__ = [
     "DepthPocsError",
     "IterationReport",
     "Plane",
-    "ProjectedSample",
     "QualityScore",
     "QuantizedDescription",
     "RectifiedPair",
@@ -61,7 +60,6 @@ __all__ = [
     "generate_scene",
     "half_iteration",
     "has_converged",
-    "interpolate_at",
     "inverse_dct",
     "jpeg_table",
     "project",

@@ -69,7 +69,10 @@ def _cfg_float(section, key, default=None):
 
 
 def _cfg_int(section, key, default=None):
-    return int(_cfg_float(section, key, default))
+    value = _cfg_float(section, key, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"[{section.name}] {key} = {section.get(key)!r} is not an integer")
+    return int(value)
 
 
 def _parse_matrix(section, key, count, shape):

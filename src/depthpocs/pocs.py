@@ -14,6 +14,8 @@ The source view is read-only during its half-iteration.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,6 +60,16 @@ class RefineOptions:
             raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
         if self.start not in ("left", "right"):
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
+        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Integral):
+            raise InvalidParameterError(f"radius must be an integer, got {self.radius!r}")
+        if self.radius < 0:
+            raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
+        if not (self.sigma_s > 0 and self.sigma_r > 0):
+            raise InvalidParameterError(
+                f"sigmas must be positive, got sigma_s={self.sigma_s} sigma_r={self.sigma_r}"
+            )
+        if not (0 <= self.tau < math.inf):
+            raise InvalidParameterError(f"tau must be finite and >= 0, got {self.tau}")
 
 
 class HalfIterationStats(NamedTuple):

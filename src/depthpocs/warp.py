@@ -1,10 +1,11 @@
 """Cross-view warping of depth maps for rectified pairs.
 
 forward_warp lifts every source pixel to 3D and drops it into the target
-view. Rectification keeps each sample on its source row, so samples are
-bucketed per target row with a real-valued target column. interpolate_at
-then rebuilds the target grid from two neighbors per pixel, one picked
-from each side, and bilateral_filter cleans up the result.
+view. Rectification keeps each sample on its source row, so the samples
+come back as flat arrays in row-major source order: target row, real-valued
+target column, depth and source column. _interpolate_grid then rebuilds
+the target grid from two neighbors per pixel, one picked from each side,
+and bilateral_filter cleans up the result.
 
 For a rectified pair the composition of back-projection and re-projection
 collapses to a pure column shift of fx * baseline / s per pixel, where s
@@ -15,7 +16,6 @@ keeps the identity warp (equal cameras) exact down to the bit.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,45 +23,26 @@ from ._common import as_map, require_same_shape
 from .errors import InvalidParameterError
 from .geometry import CameraParams, projective_scale_grid, require_rectified
 
-
-class ProjectedSample(NamedTuple):
-    """One source pixel landed in the target view (row is preserved)."""
-
-    row: int
-    col: float
-    depth: float
-    src_row: int
-    src_col: int
-
-
-class RowSamples(NamedTuple):
-    """All samples landing on one target row, as parallel arrays."""
-
-    cols: np.ndarray
-    depths: np.ndarray
-    src_cols: np.ndarray
-
-    def samples(self, row: int) -> list[ProjectedSample]:
-        return [
-            ProjectedSample(row, float(c), float(d), row, int(sc))
-            for c, d, sc in zip(self.cols, self.depths, self.src_cols)
-        ]
+# Output rows the bilateral filter finishes at a time (see bilateral_filter).
+# On a 501-column map, 16 and 32 rows ran fastest; 8 rows, 64 rows and the
+# whole map were slower.
+_BAND_ROWS = 32
 
 
 def forward_warp(
     src, src_cam: CameraParams, dst_cam: CameraParams
-) -> list[RowSamples]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Warp every positive-depth source pixel into the target view.
 
-    Returns one RowSamples bucket per target row. Samples whose target
-    column falls outside [-1, width] cannot influence any grid pixel and
-    are dropped, as are pixels that end up behind the camera.
+    Returns flat arrays (rows, cols, depths, src_cols), one entry per kept
+    sample in row-major source order: target row (equal to the source row),
+    real-valued target column, depth and source column. Samples whose
+    target column falls outside [-1, width] cannot influence any grid
+    pixel and are dropped, as are pixels that end up behind the camera.
     """
     require_rectified(src_cam, dst_cam)
     m = as_map(src, "source map")
-    h, w = m.shape
-    if m.size == 0:
-        return []
+    w = m.shape[1]
     scale = projective_scale_grid(src_cam, m)
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
     cols = np.arange(w, dtype=np.float64)
@@ -80,106 +61,60 @@ def forward_warp(
         & (dst_cols >= -1.0)
         & (dst_cols <= float(w))
     )
-    buckets = []
-    for r in range(h):
-        keep = valid[r]
-        buckets.append(
-            RowSamples(dst_cols[r][keep], m[r][keep], np.flatnonzero(keep))
-        )
-    return buckets
+    rows, src_cols = np.nonzero(valid)
+    return rows, dst_cols[valid], m[valid], src_cols
 
 
-def _selection_key(depth: float, src_col: int, current: float, tau: float):
-    # Lexicographic preference: pass the depth-tolerance filter first, then
-    # smallest depth, then smallest source column for determinism.
-    return (abs(depth - current) > tau, depth, src_col)
+def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
+    """Each target pixel's pick among the samples that serve it from one side.
 
-
-def interpolate_at(
-    row: int,
-    col: int,
-    candidates: Sequence[ProjectedSample],
-    current: float,
-    tau: float,
-) -> float:
-    """Edge-adaptive depth at one integer target pixel.
-
-    One candidate is picked from (col-1, col] and one from [col, col+1).
-    Within each interval, candidates whose depth is within tau of the
-    current target depth are preferred; among the preferred (or all, when
-    none pass) the minimum depth wins. The two picks are blended linearly
-    by horizontal distance; with a single pick its depth is returned, and
-    with none the current value is kept.
+    Preference is lexicographic: the depth lies within tau of the current
+    target value, then smallest depth, then smallest source column. A
+    pixel served by exactly one sample takes it directly; only the groups
+    of two or more are sorted. Returns the picked depth and column per
+    pixel, NaN where no sample serves it.
     """
-    c = float(col)
-    p1 = None
-    p2 = None
-    k1 = None
-    k2 = None
-    for cand in candidates:
-        x = cand.col
-        if c - 1.0 < x <= c:
-            key = _selection_key(cand.depth, cand.src_col, current, tau)
-            if k1 is None or key < k1:
-                k1, p1 = key, cand
-        if c <= x < c + 1.0:
-            key = _selection_key(cand.depth, cand.src_col, current, tau)
-            if k2 is None or key < k2:
-                k2, p2 = key, cand
-    if p1 is not None and p2 is not None:
-        t1 = c - p1.col
-        t2 = p2.col - c
-        if t1 == 0.0:
-            return p1.depth
-        if t2 == 0.0:
-            return p2.depth
-        return (p1.depth * t2 + p2.depth * t1) / (t1 + t2)
-    if p1 is not None:
-        return p1.depth
-    if p2 is not None:
-        return p2.depth
-    return current
+    n = flat_current.size
+    pick_d = np.full(n, np.nan)
+    pick_c = np.full(n, np.nan)
+    single = np.bincount(tgt, minlength=n)[tgt] == 1
+    ts = tgt[single]
+    pick_d[ts] = depths[single]
+    pick_c[ts] = cols[single]
+    multi = np.flatnonzero(~single)
+    tm = tgt[multi]
+    dm = depths[multi]
+    fails = np.abs(dm - flat_current[tm]) > tau
+    order = np.lexsort((src_cols[multi], dm, fails, tm))
+    tm = tm[order]
+    first = np.ones(len(tm), dtype=bool)
+    first[1:] = tm[1:] != tm[:-1]
+    won = multi[order[first]]
+    pick_d[tm[first]] = depths[won]
+    pick_c[tm[first]] = cols[won]
+    return pick_d, pick_c
 
 
-def _interpolate_grid(
-    buckets: list[RowSamples], current: np.ndarray, tau: float
-) -> np.ndarray:
-    """Vectorized interpolate_at over the whole target grid.
+def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
+    """Edge-adaptive depth at every integer target pixel.
 
-    Each sample can serve exactly one pixel from the left (target ceil(col))
-    and one from the right (target floor(col)), so both picks reduce to a
-    grouped lexicographic minimum, done here with one lexsort per side.
-    Produces bit-identical results to looping interpolate_at.
+    samples are forward_warp's flat arrays. Pixel c picks one sample from
+    (c-1, c] and one from [c, c+1) (see _pick_side). The two picks are
+    blended linearly by horizontal distance; with a single pick its depth
+    is returned, and with none the current value is kept. Each sample can
+    serve exactly one pixel from the left (target ceil(col)) and one from
+    the right (target floor(col)).
     """
+    rows, cols, depths, src_cols = samples
     h, w = current.shape
-    n = h * w
-    if not buckets:
-        return current.copy()
-    rows = np.concatenate(
-        [np.full(len(b.cols), r, dtype=np.int64) for r, b in enumerate(buckets)]
-    )
-    cols = np.concatenate([b.cols for b in buckets])
-    depths = np.concatenate([b.depths for b in buckets])
-    src_cols = np.concatenate([b.src_cols for b in buckets])
     flat_current = current.ravel()
-
     picked = []
-    for side in ("left", "right"):
-        targets = np.ceil(cols) if side == "left" else np.floor(cols)
+    for targets in (np.ceil(cols), np.floor(cols)):
         ok = (targets >= 0) & (targets < w)
         tgt = rows[ok] * w + targets[ok].astype(np.int64)
-        d = depths[ok]
-        fails = np.abs(d - flat_current[tgt]) > tau
-        order = np.lexsort((src_cols[ok], d, fails, tgt))
-        tgt_sorted = tgt[order]
-        first = np.ones(len(tgt_sorted), dtype=bool)
-        first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-        pick_d = np.full(n, np.nan)
-        pick_c = np.full(n, np.nan)
-        pick_d[tgt_sorted[first]] = d[order][first]
-        pick_c[tgt_sorted[first]] = cols[ok][order][first]
-        picked.append((pick_d, pick_c))
-
+        picked.append(
+            _pick_side(tgt, cols[ok], depths[ok], src_cols[ok], flat_current, tau)
+        )
     (p1d, p1c), (p2d, p2c) = picked
     cgrid = np.tile(np.arange(w, dtype=np.float64), h)
     have1 = ~np.isnan(p1d)
@@ -205,6 +140,14 @@ def bilateral_filter(
     pixel, so every output sample is a convex combination of input samples
     in its window. radius 0 is the documented off switch and returns a
     copy of the input.
+
+    Offsets o and -o give a pixel pair the same weight, and weighted
+    deviations that are exact negatives of each other. The output is made
+    in bands of rows: for each offset before the center, weights and
+    weighted deviations are computed once over the band plus |dy| rows
+    below it, and the mirror offset reuses them at the shifted pixels.
+    Every pixel still sums its terms in window order, so the result is the
+    same, bit for bit, as evaluating each offset on its own.
     """
     m = as_map(map_)
     radius = int(radius)
@@ -217,26 +160,71 @@ def bilateral_filter(
             f"sigmas must be positive, got sigma_s={sigma_s} sigma_r={sigma_r}"
         )
     h, w = m.shape
-    # Accumulating weighted deviations from the center (instead of weighted
-    # values) keeps flat regions exactly unchanged in floating point.
-    num = np.zeros_like(m)
-    den = np.zeros_like(m)
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ws = math.exp(-(dy * dy + dx * dx) * inv2ss)
-            y0, y1 = max(0, -dy), min(h, h - dy)
+    # Offsets before the center in window order; (-dy, -dx) follow it in
+    # reverse order.
+    firsts = [
+        (dy, dx)
+        for dy in range(-radius, 1)
+        for dx in range(-radius, radius + 1)
+        if dy < 0 or dx < 0
+    ]
+    # The center offset has zero deviation and weight exp(0) = 1, or NaN
+    # when a sigma is so small that its inverse overflows. Its weighted
+    # deviation is +0.0, which leaves num unchanged.
+    w_center = math.exp(-0 * inv2ss) * np.exp(-(0.0 * 0.0) * inv2sr)
+    band = max(1, min(h, _BAND_ROWS))
+    # One preallocated buffer holds a band's stored terms, each as a
+    # contiguous array.
+    store = np.empty((len(firsts), 2, (band + radius) * w))
+    num = np.empty(band * w)
+    den = np.empty(band * w)
+    out = np.empty_like(m)
+    # Accumulating weighted deviations from the center (instead of weighted
+    # values) keeps flat regions exactly unchanged in floating point.
+    for b0 in range(0, h, band):
+        b1 = min(h, b0 + band)
+        bn = (b1 - b0) * w
+        num_b = num[:bn].reshape(b1 - b0, w)
+        den_b = den[:bn].reshape(b1 - b0, w)
+        num_b.fill(0.0)
+        den_b.fill(0.0)
+        shared = []
+        for k, (dy, dx) in enumerate(firsts):
+            # Pixels p whose neighbor p + (dy, dx) is inside the map, on the
+            # band's rows and on the |dy| rows the mirror offset reads.
+            y0, y1 = max(b0, -dy), min(h, b1 - dy)
             x0, x1 = max(0, -dx), min(w, w - dx)
             if y0 >= y1 or x0 >= x1:
                 continue
-            center = m[y0:y1, x0:x1]
-            neigh = m[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-            diff = neigh - center
-            wgt = ws * np.exp(-(diff * diff) * inv2sr)
-            num[y0:y1, x0:x1] += wgt * diff
-            den[y0:y1, x0:x1] += wgt
-    return m + num / den
+            size = (y1 - y0) * (x1 - x0)
+            wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
+            term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
+            np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
+            np.multiply(term, term, out=wgt)
+            wgt *= -inv2sr
+            np.exp(wgt, out=wgt)
+            wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
+            term *= wgt
+            own = min(y1, b1) - y0
+            if own > 0:
+                num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
+                den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
+            shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
+        den_b += w_center
+        for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
+            # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
+            # wgt[p], weighted deviation -term[p].
+            p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
+            if p0 >= p1:
+                continue
+            q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
+            num_b[q] -= term[p0 - y0 : p1 - y0]
+            den_b[q] += wgt[p0 - y0 : p1 - y0]
+        np.divide(num_b, den_b, out=num_b)
+        np.add(m[b0:b1], num_b, out=out[b0:b1])
+    return out
 
 
 def project_view(
@@ -258,6 +246,5 @@ def project_view(
     s = as_map(src, "source map")
     cur = as_map(dst_current, "target map")
     require_same_shape(s, cur, "project_view")
-    buckets = forward_warp(s, src_cam, dst_cam)
-    interp = _interpolate_grid(buckets, cur, tau)
+    interp = _interpolate_grid(forward_warp(s, src_cam, dst_cam), cur, tau)
     return bilateral_filter(interp, sigma_s, sigma_r, radius)

@@ -197,6 +197,26 @@ class TestRunVerb:
         assert not (out / "report.csv").exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "radius = -1",
+            "radius = 2.7",
+            "sigma_s = 0",
+            "sigma_r = -1",
+            "tau = -1",
+            "tau = inf",
+            "tau = nan",
+        ],
+    )
+    def test_bad_filter_option_fails_before_artifacts(self, tmp_path, capsys, option):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE + option + "\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "-o", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+        assert "error" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(small_cfg), "-o", str(out1)]) == 0

@@ -32,7 +32,8 @@ from depthpocs.pocs import (
     refine,
 )
 from depthpocs.scene import Box, Plane, SceneSpec, generate_scene
-from depthpocs.warp import bilateral_filter, forward_warp, interpolate_at
+from depthpocs.warp import bilateral_filter, forward_warp
+from warp_oracle import interpolate_reference
 
 
 def small_scene(width=48, height=48):
@@ -105,13 +106,8 @@ class TestHalfIteration:
             left0, gen.cameras.left, gen.cameras.right, desc_r, right0, opts
         )
 
-        buckets = forward_warp(left0, gen.cameras.left, gen.cameras.right)
-        h, w = right0.shape
-        interp = np.empty_like(right0)
-        for r in range(h):
-            cands = buckets[r].samples(r)
-            for c in range(w):
-                interp[r, c] = interpolate_at(r, c, cands, right0[r, c], opts.tau)
+        samples = forward_warp(left0, gen.cameras.left, gen.cameras.right)
+        interp = interpolate_reference(samples, right0, opts.tau)
         smooth = bilateral_filter(interp, opts.sigma_s, opts.sigma_r, opts.radius)
         padded = pad_to_blocks(smooth)
         coeffs = dct_blocks(split_blocks(padded))
@@ -231,6 +227,28 @@ class TestRefine:
             RefineOptions(eps=-1.0)
         with pytest.raises(InvalidParameterError):
             RefineOptions(start="middle")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"radius": -1},
+            {"radius": 2.7},
+            {"radius": True},
+            {"sigma_s": 0.0},
+            {"sigma_r": -1.0},
+            {"sigma_r": float("nan")},
+            {"tau": -0.5},
+            {"tau": float("inf")},
+            {"tau": float("nan")},
+        ],
+    )
+    def test_filter_option_validation(self, bad):
+        with pytest.raises(InvalidParameterError):
+            RefineOptions(**bad)
+
+    def test_filter_options_accepted(self):
+        opts = RefineOptions(radius=np.int64(2), tau=0.0, sigma_s=0.5, sigma_r=1e-9)
+        assert opts.radius == 2
 
     def test_runaway_values_detected(self):
         from depthpocs.errors import NumericalError

@@ -1,21 +1,24 @@
 """View warping tests: forward warp geometry, the two-pick interpolation
-rule (scalar and vectorized paths must agree bit for bit), and the
-bilateral filter against a hand-evaluated oracle."""
+rule (the grid path must agree bit for bit with the scalar oracle in
+warp_oracle), and the bilateral filter against a hand-evaluated oracle and
+bit for bit against the per-offset reference."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpocs.errors import InvalidConfigurationError, InvalidInputError, InvalidParameterError
 from depthpocs.geometry import simple_camera
-from depthpocs.warp import (
+from depthpocs.warp import _interpolate_grid, bilateral_filter, forward_warp, project_view
+from warp_oracle import (
     ProjectedSample,
-    _interpolate_grid,
-    bilateral_filter,
-    forward_warp,
+    bilateral_reference,
     interpolate_at,
-    project_view,
+    interpolate_reference,
+    row_buckets,
 )
 
 
@@ -28,8 +31,9 @@ class TestForwardWarp:
         rng = np.random.default_rng(71)
         m = rng.uniform(1.0, 255.0, (24, 24))
         cam = simple_camera(120.0, 11.5, 11.5)
-        buckets = forward_warp(m, cam, cam)
-        assert len(buckets) == 24
+        samples = forward_warp(m, cam, cam)
+        assert np.array_equal(samples[0], np.repeat(np.arange(24), 24))
+        buckets = row_buckets(samples, 24)
         for r, b in enumerate(buckets):
             assert np.array_equal(b.cols, np.arange(24, dtype=float))
             assert np.array_equal(b.depths, m[r])
@@ -38,12 +42,12 @@ class TestForwardWarp:
     def test_constant_depth_exact_disparity(self):
         left, right = cam_pair(focal=100.0, baseline=10.0)
         m = np.full((64, 64), 50.0)
-        for b in forward_warp(m, left, right):
-            assert np.all(b.cols - b.src_cols == 20.0)
+        _, cols, _, src_cols = forward_warp(m, left, right)
+        assert np.all(cols - src_cols == 20.0)
 
     def test_empty_map(self):
         left, right = cam_pair()
-        assert forward_warp(np.zeros((0, 0)), left, right) == []
+        assert all(len(a) == 0 for a in forward_warp(np.zeros((0, 0)), left, right))
 
     def test_requires_rectified(self):
         left = simple_camera(100.0, 32.0, 32.0, 0.0)
@@ -54,14 +58,14 @@ class TestForwardWarp:
     def test_out_of_range_columns_discarded(self):
         left, right = cam_pair(focal=100.0, baseline=10.0)
         m = np.full((8, 32), 10.0)  # disparity 100, everything lands far right
-        for b in forward_warp(m, left, right):
+        for b in row_buckets(forward_warp(m, left, right), 8):
             assert len(b.cols) == 0
 
     def test_keeps_margin_columns(self):
         # disparity -1.0 exactly: source column 0 lands at -1 and is kept
         left, right = cam_pair(focal=100.0, baseline=-0.5)
         m = np.full((4, 8), 50.0)
-        for b in forward_warp(m, left, right):
+        for b in row_buckets(forward_warp(m, left, right), 4):
             assert b.cols[0] == -1.0
 
     def test_zero_depth_pixels_skipped(self):
@@ -69,10 +73,17 @@ class TestForwardWarp:
         m = np.full((4, 32), 40.0)
         m[1, 2] = 0.0
         m[3, 4] = -2.0
-        buckets = forward_warp(m, left, right)
+        buckets = row_buckets(forward_warp(m, left, right), 4)
         assert len(buckets[1].cols) == len(buckets[0].cols) - 1
         assert 2 not in buckets[1].src_cols
         assert 4 not in buckets[3].src_cols
+
+    def test_row_major_source_order(self):
+        left, right = cam_pair(focal=90.0, cx=15.5, cy=15.5, baseline=7.0)
+        m = np.random.default_rng(79).uniform(20.0, 250.0, (16, 32))
+        rows, _, _, src_cols = forward_warp(m, left, right)
+        key = rows * 32 + src_cols
+        assert np.all(np.diff(key) > 0)
 
 
 def sample(row, col, depth, src_col=0):
@@ -80,6 +91,8 @@ def sample(row, col, depth, src_col=0):
 
 
 class TestInterpolateAt:
+    """The scalar oracle's own rules."""
+
     def test_exact_hit(self):
         assert interpolate_at(5, 10, [sample(5, 10.0, 40.0)], 0.0, 8.0) == 40.0
 
@@ -122,6 +135,33 @@ class TestInterpolateAt:
         assert interpolate_at(5, 10, cands, 50.0, 8.0) == 50.0
 
 
+def group_sizes(samples, w):
+    """Number of samples serving each served pixel, per side."""
+    rows, cols, _, _ = samples
+    sizes = []
+    for targets in (np.ceil(cols), np.floor(cols)):
+        ok = (targets >= 0) & (targets < w)
+        counts = np.bincount(rows[ok] * w + targets[ok].astype(np.int64))
+        sizes.append(counts[counts > 0])
+    return sizes
+
+
+@st.composite
+def flat_samples(draw):
+    """Random samples obeying forward_warp's layout: row-major source order,
+    each source column at most once per row, columns within [-1, width].
+    Columns on a quarter-pixel lattice and depths from a few levels force
+    shared targets, exact hits and depth ties."""
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, src_cols = np.nonzero(rng.random((h, w)) < draw(st.floats(0.0, 1.0)))
+    cols = rng.integers(-4, 4 * w + 1, len(rows)) / 4.0
+    depths = rng.choice([20.0, 30.0, 30.5, 60.0, 90.0], len(rows))
+    current = rng.choice([20.0, 33.0, 61.0, 500.0], (h, w))
+    return (rows, cols, depths, src_cols), current
+
+
 class TestGridMatchesScalar:
     def test_bit_identical_on_random_warps(self):
         rng = np.random.default_rng(72)
@@ -132,17 +172,64 @@ class TestGridMatchesScalar:
             )
             cur = np.clip(m + rng.normal(0.0, 4.0, m.shape), 1.0, 255.0)
             src_cam, dst_cam = (left, right) if trial % 2 == 0 else (right, left)
-            buckets = forward_warp(m, src_cam, dst_cam)
-            grid = _interpolate_grid(buckets, cur, 8.0)
+            samples = forward_warp(m, src_cam, dst_cam)
+            grid = _interpolate_grid(samples, cur, 8.0)
+            want = interpolate_reference(samples, cur, 8.0)
             for r in range(32):
-                cands = buckets[r].samples(r)
                 for c in range(32):
-                    want = interpolate_at(r, c, cands, cur[r, c], 8.0)
-                    assert grid[r, c] == want, (trial, r, c)
+                    assert grid[r, c] == want[r, c], (trial, r, c)
+
+    def test_all_singletons(self):
+        # identity cameras: every pixel is served by exactly its own sample
+        rng = np.random.default_rng(80)
+        m = rng.uniform(1.0, 255.0, (16, 20))
+        cur = rng.uniform(1.0, 255.0, (16, 20))
+        cam = simple_camera(120.0, 9.5, 7.5)
+        samples = forward_warp(m, cam, cam)
+        assert all(np.all(s == 1) for s in group_sizes(samples, 20))
+        grid = _interpolate_grid(samples, cur, 8.0)
+        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+        assert np.array_equal(grid, m)
+
+    def test_only_multi_candidate_groups(self):
+        # two samples at c + 0.25 and c + 0.5 for every column c: each served
+        # pixel gets exactly two candidates from each side
+        rng = np.random.default_rng(81)
+        h, w = 6, 10
+        rows = np.repeat(np.arange(h), 2 * w)
+        src_cols = np.tile(np.arange(2 * w), h)
+        cols = np.tile(np.repeat(np.arange(w), 2) + np.tile([0.25, 0.5], w), h)
+        depths = rng.choice([40.0, 45.0, 50.0, 80.0], len(rows))
+        cur = rng.choice([42.0, 52.0, 200.0], (h, w))
+        samples = (rows, cols, depths, src_cols)
+        assert all(np.all(s == 2) for s in group_sizes(samples, w))
+        grid = _interpolate_grid(samples, cur, 8.0)
+        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+
+    def test_tau_fallback_groups(self):
+        # no candidate lies within tau of the current value: every group
+        # falls back to its minimum depth
+        rng = np.random.default_rng(82)
+        left, right = cam_pair(focal=90.0, cx=15.5, cy=15.5, baseline=7.0)
+        m = np.clip(np.cumsum(rng.uniform(-6.0, 6.0, (24, 32)), axis=1) + 90.0, 10.0, 200.0)
+        cur = np.full(m.shape, 1000.0)
+        samples = forward_warp(m, left, right)
+        assert any(np.any(s > 1) for s in group_sizes(samples, 32))
+        grid = _interpolate_grid(samples, cur, 8.0)
+        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(flat_samples())
+    def test_random_samples_match_oracle(self, case):
+        samples, cur = case
+        for tau in (0.0, 8.0):
+            grid = _interpolate_grid(samples, cur, tau)
+            assert np.array_equal(grid, interpolate_reference(samples, cur, tau))
 
     def test_no_buckets_returns_current_copy(self):
         cur = np.random.default_rng(0).uniform(0, 255, (5, 5))
-        out = _interpolate_grid([], cur, 8.0)
+        empty = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
+        out = _interpolate_grid(empty, cur, 8.0)
         assert np.array_equal(out, cur)
         assert out is not cur
 
@@ -191,6 +278,39 @@ class TestBilateral:
         assert np.array_equal(out, m)
         assert out is not m
 
+    @pytest.mark.parametrize("h", [1, 2, 31, 32, 33, 63, 64, 65])
+    def test_band_edges_match_reference(self, h):
+        m = np.random.default_rng(83 + h).uniform(0.0, 255.0, (h, 23))
+        out = bilateral_filter(m, 2.0, 10.0, 3)
+        assert np.array_equal(out, bilateral_reference(m, 2.0, 10.0, 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=st.integers(1, 80),
+        w=st.integers(1, 40),
+        radius=st.integers(1, 5),
+        sigma_s=st.floats(0.2, 10.0),
+        sigma_r=st.floats(0.05, 200.0),
+        quantized=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_bitwise(self, h, w, radius, sigma_s, sigma_r, quantized, seed):
+        rng = np.random.default_rng(seed)
+        if quantized:  # few levels: many exactly equal neighbors
+            m = rng.integers(0, 4, (h, w)) * 20.0 + 40.0
+        else:
+            m = rng.uniform(0.0, 255.0, (h, w))
+        # a constant patch: pixels whose whole window lies inside it must
+        # come out exactly unchanged
+        y0, x0 = rng.integers(0, h), rng.integers(0, w)
+        y1, x1 = rng.integers(y0, h) + 1, rng.integers(x0, w) + 1
+        m[y0:y1, x0:x1] = 77.25
+        out = bilateral_filter(m, sigma_s, sigma_r, radius)
+        assert np.array_equal(out, bilateral_reference(m, sigma_s, sigma_r, radius))
+        r0, r1 = (0 if y0 == 0 else y0 + radius), (h if y1 == h else y1 - radius)
+        c0, c1 = (0 if x0 == 0 else x0 + radius), (w if x1 == w else x1 - radius)
+        assert np.all(out[r0 : max(r0, r1), c0 : max(c0, c1)] == 77.25)
+
     def test_parameter_validation(self):
         m = np.ones((4, 4))
         with pytest.raises(InvalidParameterError):
@@ -220,8 +340,7 @@ class TestProjectView:
         left, right = cam_pair(focal=100.0, cx=15.5, cy=15.5, baseline=10.0)
         src = np.full((8, 32), 50.0)  # disparity 20: target cols 0..19 are holes
         cur = np.random.default_rng(77).uniform(0, 255, (8, 32))
-        buckets = forward_warp(src, left, right)
-        out = _interpolate_grid(buckets, cur, 8.0)
+        out = _interpolate_grid(forward_warp(src, left, right), cur, 8.0)
         assert np.array_equal(out[:, :19], cur[:, :19])
 
     def test_shape_mismatch(self):

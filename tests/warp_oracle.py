@@ -1,0 +1,137 @@
+"""Scalar reference versions of the warp stages, used as test oracles.
+
+interpolate_at evaluates the edge-adaptive interpolation one pixel at a
+time from a per-row candidate list; bilateral_reference is the bilateral
+filter evaluated one window offset at a time over the whole map. The
+vectorized production paths in depthpocs.warp must agree with them bit
+for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+
+class ProjectedSample(NamedTuple):
+    """One source pixel landed in the target view (row is preserved)."""
+
+    row: int
+    col: float
+    depth: float
+    src_row: int
+    src_col: int
+
+
+class RowSamples(NamedTuple):
+    """All samples landing on one target row, as parallel arrays."""
+
+    cols: np.ndarray
+    depths: np.ndarray
+    src_cols: np.ndarray
+
+    def samples(self, row: int) -> list[ProjectedSample]:
+        return [
+            ProjectedSample(row, float(c), float(d), row, int(sc))
+            for c, d, sc in zip(self.cols, self.depths, self.src_cols)
+        ]
+
+
+def row_buckets(samples, height: int) -> list[RowSamples]:
+    """Per-row slices of forward_warp's flat (rows, cols, depths, src_cols)."""
+    rows, cols, depths, src_cols = samples
+    buckets = []
+    for r in range(height):
+        keep = rows == r
+        buckets.append(RowSamples(cols[keep], depths[keep], src_cols[keep]))
+    return buckets
+
+
+def _selection_key(depth: float, src_col: int, current: float, tau: float):
+    # Lexicographic preference: pass the depth-tolerance filter first, then
+    # smallest depth, then smallest source column for determinism.
+    return (abs(depth - current) > tau, depth, src_col)
+
+
+def interpolate_at(
+    row: int,
+    col: int,
+    candidates: Sequence[ProjectedSample],
+    current: float,
+    tau: float,
+) -> float:
+    """Edge-adaptive depth at one integer target pixel.
+
+    One candidate is picked from (col-1, col] and one from [col, col+1).
+    Within each interval, candidates whose depth is within tau of the
+    current target depth are preferred; among the preferred (or all, when
+    none pass) the minimum depth wins. The two picks are blended linearly
+    by horizontal distance; with a single pick its depth is returned, and
+    with none the current value is kept.
+    """
+    c = float(col)
+    p1 = None
+    p2 = None
+    k1 = None
+    k2 = None
+    for cand in candidates:
+        x = cand.col
+        if c - 1.0 < x <= c:
+            key = _selection_key(cand.depth, cand.src_col, current, tau)
+            if k1 is None or key < k1:
+                k1, p1 = key, cand
+        if c <= x < c + 1.0:
+            key = _selection_key(cand.depth, cand.src_col, current, tau)
+            if k2 is None or key < k2:
+                k2, p2 = key, cand
+    if p1 is not None and p2 is not None:
+        t1 = c - p1.col
+        t2 = p2.col - c
+        if t1 == 0.0:
+            return p1.depth
+        if t2 == 0.0:
+            return p2.depth
+        return (p1.depth * t2 + p2.depth * t1) / (t1 + t2)
+    if p1 is not None:
+        return p1.depth
+    if p2 is not None:
+        return p2.depth
+    return current
+
+
+def interpolate_reference(samples, current: np.ndarray, tau: float) -> np.ndarray:
+    """interpolate_at at every pixel of the target grid."""
+    h, w = current.shape
+    out = np.empty_like(current)
+    for r, bucket in enumerate(row_buckets(samples, h)):
+        cands = bucket.samples(r)
+        for c in range(w):
+            out[r, c] = interpolate_at(r, c, cands, current[r, c], tau)
+    return out
+
+
+def bilateral_reference(m: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
+    """The bilateral filter one window offset at a time, in window order."""
+    h, w = m.shape
+    # Accumulating weighted deviations from the center (instead of weighted
+    # values) keeps flat regions exactly unchanged in floating point.
+    num = np.zeros_like(m)
+    den = np.zeros_like(m)
+    inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
+    inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            ws = math.exp(-(dy * dy + dx * dx) * inv2ss)
+            y0, y1 = max(0, -dy), min(h, h - dy)
+            x0, x1 = max(0, -dx), min(w, w - dx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            center = m[y0:y1, x0:x1]
+            neigh = m[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+            diff = neigh - center
+            wgt = ws * np.exp(-(diff * diff) * inv2sr)
+            num[y0:y1, x0:x1] += wgt * diff
+            den[y0:y1, x0:x1] += wgt
+    return m + num / den
