@@ -6,6 +6,15 @@ evaluate (PSNR of a pair against references), run (the whole protocol:
 truth, compress, standard decode, smoothed baseline, refinement,
 error maps, CSV report) and sweep (run over a list of step sizes).
 
+Each piece of the pipeline is built in one place: step tables by
+_step_table, cameras by RunConfig.camera_pair (from the config and a map
+shape), the truth pair by resolve_inputs, the protocol by run_protocol and
+report.csv by write_report_csv. `sweep` renders the scene, or reads the
+[inputs] maps, once and runs the protocol on those arrays for every step.
+`refine` needs only the two descriptions and the config's camera sections:
+it takes the map shape from the descriptions and neither renders [scene]
+nor reads the [inputs] maps.
+
 Reported PSNRs are computed on values rounded to 8-bit levels so the
 numbers match what a user would measure on the written PGM artifacts;
 exit codes: 0 ok, 2 invalid configuration, 3 I/O failure, 4 numerical
@@ -20,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +39,7 @@ from .errors import (
     ConfigError,
     DepthPocsError,
     InvalidConfigurationError,
+    InvalidInputError,
     InvalidParameterError,
     InvalidSceneError,
     PgmFormatError,
@@ -37,10 +48,11 @@ from .geometry import CameraParams, RectifiedPair, simple_camera
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
 from .pocs import IterationReport, RefineOptions, refine
-from .scene import Box, GeneratedScene, Plane, SceneSpec, generate_scene
+from .scene import Box, Plane, SceneSpec, generate_scene
 from .warp import bilateral_filter
 
 CSV_HEADER = "iter,view,psnr_left,psnr_right,g,mean_change,clip_fraction"
+VIEWS = ("left", "right")
 
 
 @dataclass
@@ -54,6 +66,18 @@ class RunConfig:
     simple_cam: tuple | None  # (focal, baseline, cx, cy) with cx/cy possibly None
     table: np.ndarray
     options: RefineOptions
+
+    def camera_pair(self, shape: tuple[int, int]) -> RectifiedPair:
+        """The cameras for maps of `shape`; a missing cx/cy is the image centre."""
+        if self.cameras is not None:
+            return self.cameras
+        focal, baseline, cx, cy = self.simple_cam
+        height, width = shape
+        cx = (width - 1) / 2.0 if cx is None else cx
+        cy = (height - 1) / 2.0 if cy is None else cy
+        return RectifiedPair(
+            simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
+        )
 
 
 def _cfg_float(section, key, default=None):
@@ -73,6 +97,23 @@ def _cfg_int(section, key, default=None):
     if not float(value).is_integer():
         raise ConfigError(f"[{section.name}] {key} = {section.get(key)!r} is not an integer")
     return int(value)
+
+
+def _cfg_optional(section, key, conv):
+    """conv(section, key), or None when the key is absent."""
+    return None if section.get(key) is None else conv(section, key)
+
+
+def _read_ini(path: Path, what: str) -> configparser.ConfigParser:
+    if not path.is_file():
+        raise ConfigError(f"{what} not found: {path}")
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return parser
 
 
 def _parse_matrix(section, key, count, shape):
@@ -123,64 +164,54 @@ def _parse_primitives(parser: configparser.ConfigParser) -> list:
 
 def _parse_camera_matrices(parser: configparser.ConfigParser) -> RectifiedPair:
     try:
-        left = CameraParams(
-            _parse_matrix(parser["camera.left"], "k", 9, (3, 3)),
-            _parse_matrix(parser["camera.left"], "e", 12, (3, 4)),
-        )
-        right = CameraParams(
-            _parse_matrix(parser["camera.right"], "k", 9, (3, 3)),
-            _parse_matrix(parser["camera.right"], "e", 12, (3, 4)),
+        left, right = (
+            CameraParams(
+                _parse_matrix(parser[f"camera.{view}"], "k", 9, (3, 3)),
+                _parse_matrix(parser[f"camera.{view}"], "e", 12, (3, 4)),
+            )
+            for view in VIEWS
         )
         return RectifiedPair(left, right)
     except InvalidConfigurationError as exc:
         raise ConfigError(f"bad camera matrices: {exc}") from exc
 
 
+def _step_table(delta: float | None, quality: int | None) -> np.ndarray:
+    """Flat table of step delta (24 when neither is given) or JPEG-style table."""
+    if delta is not None and quality is not None:
+        raise ConfigError("give either a step size (delta) or a quality, not both")
+    try:
+        if quality is not None:
+            return jpeg_table(quality)
+        return flat_table(24.0 if delta is None else delta)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse an INI run configuration; paths resolve against its directory."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    parser = _read_ini(path, "config file")
     base = path.parent
 
     camera_parser = parser
     if parser.has_section("inputs") and parser["inputs"].get("camera_file"):
-        cam_path = base / parser["inputs"]["camera_file"]
-        if not cam_path.is_file():
-            raise ConfigError(f"camera file not found: {cam_path}")
-        camera_parser = configparser.ConfigParser()
-        try:
-            with open(cam_path, "r", encoding="utf-8") as fh:
-                camera_parser.read_file(fh)
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot parse {cam_path}: {exc}") from exc
+        camera_parser = _read_ini(base / parser["inputs"]["camera_file"], "camera file")
 
     cameras = None
     simple_cam = None
-    if camera_parser.has_section("camera.left") or camera_parser.has_section(
-        "camera.right"
-    ):
-        if not (
-            camera_parser.has_section("camera.left")
-            and camera_parser.has_section("camera.right")
-        ):
+    matrix_sections = [camera_parser.has_section(f"camera.{view}") for view in VIEWS]
+    if any(matrix_sections):
+        if not all(matrix_sections):
             raise ConfigError("need both [camera.left] and [camera.right]")
         cameras = _parse_camera_matrices(camera_parser)
     elif parser.has_section("camera"):
         sec = parser["camera"]
-        cx = _cfg_float(sec, "cx", math.nan)
-        cy = _cfg_float(sec, "cy", math.nan)
         simple_cam = (
             _cfg_float(sec, "focal"),
             _cfg_float(sec, "baseline"),
-            None if math.isnan(cx) else cx,
-            None if math.isnan(cy) else cy,
+            _cfg_optional(sec, "cx", _cfg_float),
+            _cfg_optional(sec, "cy", _cfg_float),
         )
 
     scene = None
@@ -218,15 +249,12 @@ def load_config(path) -> RunConfig:
     else:
         raise ConfigError("config needs a [scene] or an [inputs] section")
 
-    table = flat_table(24.0)
+    delta = quality = None
     if parser.has_section("quant"):
         sec = parser["quant"]
-        if sec.get("delta") is not None and sec.get("quality") is not None:
-            raise ConfigError("[quant] takes either 'delta' or 'quality', not both")
-        if sec.get("quality") is not None:
-            table = jpeg_table(_cfg_int(sec, "quality"))
-        elif sec.get("delta") is not None:
-            table = flat_table(_cfg_float(sec, "delta"))
+        delta = _cfg_optional(sec, "delta", _cfg_float)
+        quality = _cfg_optional(sec, "quality", _cfg_int)
+    table = _step_table(delta, quality)
 
     opts_kwargs = {}
     if parser.has_section("refine"):
@@ -259,31 +287,36 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _resolve_inputs(
-    config: RunConfig,
-) -> tuple[np.ndarray, np.ndarray, RectifiedPair, GeneratedScene | None]:
-    """Ground truth pair and cameras, from the scene or from input files."""
+class Inputs(NamedTuple):
+    """Ground-truth pair, its cameras and, in scene mode, the visibility masks."""
+
+    left: np.ndarray
+    right: np.ndarray
+    cameras: RectifiedPair
+    masks: tuple[np.ndarray, np.ndarray] | None
+
+
+def resolve_inputs(config: RunConfig) -> Inputs:
+    """Render the scene or read the [inputs] maps; done once per command."""
     if config.scene is not None:
         gen = generate_scene(config.scene)
-        return gen.left, gen.right, gen.cameras, gen
-    left = read_pgm(config.input_left)
-    right = read_pgm(config.input_right)
-    if left.shape != right.shape:
-        raise ConfigError(
-            f"input maps disagree in size: {left.shape} vs {right.shape}"
-        )
-    if config.cameras is not None:
-        cameras = config.cameras
+        left, right, masks = gen.left, gen.right, (gen.mask_left, gen.mask_right)
     else:
-        focal, baseline, cx, cy = config.simple_cam
-        if cx is None:
-            cx = (left.shape[1] - 1) / 2.0
-        if cy is None:
-            cy = (left.shape[0] - 1) / 2.0
-        cameras = RectifiedPair(
-            simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
-        )
-    return left, right, cameras, None
+        left, right, masks = read_pgm(config.input_left), read_pgm(config.input_right), None
+        if left.shape != right.shape:
+            raise ConfigError(
+                f"input maps disagree in size: {left.shape} vs {right.shape}"
+            )
+    return Inputs(left, right, config.camera_pair(left.shape), masks)
+
+
+def _write_truth(outdir: Path, inputs: Inputs, deep: bool) -> None:
+    """truth_*.pgm, plus mask_*.pgm (always 8-bit) when the inputs have masks."""
+    for view, truth in zip(VIEWS, (inputs.left, inputs.right)):
+        write_pgm(outdir / f"truth_{view}.pgm", truth, deep=deep)
+    if inputs.masks is not None:
+        for view, mask in zip(VIEWS, inputs.masks):
+            write_pgm(outdir / f"mask_{view}.pgm", mask * 255.0)
 
 
 def _fmt(x) -> str:
@@ -294,29 +327,23 @@ def _fmt(x) -> str:
     return f"{x:.6f}"
 
 
-def _report_rows(report: IterationReport) -> list[str]:
-    return [
+def write_report_csv(
+    path, report: IterationReport, scores: tuple[QualityScore, ...] = ()
+) -> None:
+    """One row per half-iteration, then a summary row when scores are given.
+
+    scores is (Q_std, Q_smo, Q_our); the summary row reuses the three PSNR
+    columns to carry their g values, in that order, and leaves the last
+    two columns empty.
+    """
+    lines = [CSV_HEADER]
+    lines.extend(
         f"{e.iteration},{e.view},{_fmt(e.psnr_left)},{_fmt(e.psnr_right)},"
         f"{_fmt(e.g)},{_fmt(e.mean_change)},{_fmt(e.clip_fraction)}"
         for e in report.entries
-    ]
-
-
-def write_report_csv(
-    path,
-    report: IterationReport,
-    q_std: QualityScore,
-    q_smo: QualityScore,
-    q_our: QualityScore,
-) -> None:
-    """One row per half-iteration plus a summary line.
-
-    The summary row reuses the three PSNR columns to carry Q_std, Q_smo
-    and Q_our (in that order) and leaves the last two columns empty.
-    """
-    lines = [CSV_HEADER]
-    lines.extend(_report_rows(report))
-    lines.append(f"summary,all,{_fmt(q_std.g)},{_fmt(q_smo.g)},{_fmt(q_our.g)},,")
+    )
+    if scores:
+        lines.append("summary,all," + ",".join(_fmt(q.g) for q in scores) + ",,")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,99 +356,62 @@ class RunResult:
     report: IterationReport
     outdir: Path
 
+    def scores(self) -> str:
+        """Q_std, Q_smo and Q_our as printed by run and sweep."""
+        return "Q_std={} Q_smo={} Q_our={}".format(*self.g_values())
 
-def _stage(name: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DepthPocsError as exc:
-        raise type(exc)(f"stage '{name}': {exc}") from exc
+    def g_values(self) -> list[str]:
+        return [_fmt(q.g) for q in (self.q_std, self.q_smo, self.q_our)]
+
+
+def run_protocol(
+    inputs: Inputs, table, opts: RefineOptions, outdir, *, deep: bool = False
+) -> RunResult:
+    """Code, decode, smooth and refine the truth pair; write every artifact."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_truth(outdir, inputs, deep)
+    truth = (inputs.left, inputs.right)
+
+    descs = [encode_map(t, table) for t in truth]
+    for view, desc in zip(VIEWS, descs):
+        desc.save(outdir / f"{view}.qdm")
+    std = [decode_map(desc) for desc in descs]
+    smo = [bilateral_filter(m, opts.sigma_s, opts.sigma_r, opts.radius) for m in std]
+    cams = inputs.cameras
+    *our, report = refine(descs[0], descs[1], cams.left, cams.right, opts, truth)
+
+    maps = {"std": std, "smo": smo, "our": our}
+    for tag, pair in maps.items():
+        for view, m, t in zip(VIEWS, pair, truth):
+            write_pgm(outdir / f"{tag}_{view}.pgm", m, deep=deep)
+            write_pgm(outdir / f"err_{tag}_{view}.pgm", error_map(m, t), deep=deep)
+    q_std, q_smo, q_our = (
+        quality_g(*pair, *truth, round_to_int=True) for pair in maps.values()
+    )
+    write_report_csv(outdir / "report.csv", report, (q_std, q_smo, q_our))
+    return RunResult(q_std, q_smo, q_our, report, outdir)
 
 
 def run_pipeline(config: RunConfig, outdir, *, deep: bool = False) -> RunResult:
     """Execute the full protocol and write every artifact into outdir."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    opts = config.options
-
-    truth_l, truth_r, cameras, gen = _stage("generate", _resolve_inputs, config)
-    write_pgm(outdir / "truth_left.pgm", truth_l, deep=deep)
-    write_pgm(outdir / "truth_right.pgm", truth_r, deep=deep)
-    if gen is not None:
-        write_pgm(outdir / "mask_left.pgm", gen.mask_left * 255.0)
-        write_pgm(outdir / "mask_right.pgm", gen.mask_right * 255.0)
-
-    desc_l = _stage("compress", encode_map, truth_l, config.table)
-    desc_r = _stage("compress", encode_map, truth_r, config.table)
-    desc_l.save(outdir / "left.qdm")
-    desc_r.save(outdir / "right.qdm")
-
-    std_l = _stage("decode", decode_map, desc_l)
-    std_r = _stage("decode", decode_map, desc_r)
-    write_pgm(outdir / "std_left.pgm", std_l, deep=deep)
-    write_pgm(outdir / "std_right.pgm", std_r, deep=deep)
-
-    smo_l = _stage(
-        "smooth", bilateral_filter, std_l, opts.sigma_s, opts.sigma_r, opts.radius
-    )
-    smo_r = _stage(
-        "smooth", bilateral_filter, std_r, opts.sigma_s, opts.sigma_r, opts.radius
-    )
-    write_pgm(outdir / "smo_left.pgm", smo_l, deep=deep)
-    write_pgm(outdir / "smo_right.pgm", smo_r, deep=deep)
-
-    our_l, our_r, report = _stage(
-        "refine",
-        refine,
-        desc_l,
-        desc_r,
-        cameras.left,
-        cameras.right,
-        opts,
-        (truth_l, truth_r),
-    )
-    write_pgm(outdir / "our_left.pgm", our_l, deep=deep)
-    write_pgm(outdir / "our_right.pgm", our_r, deep=deep)
-
-    for tag, (ml, mr) in (
-        ("std", (std_l, std_r)),
-        ("smo", (smo_l, smo_r)),
-        ("our", (our_l, our_r)),
-    ):
-        write_pgm(outdir / f"err_{tag}_left.pgm", error_map(ml, truth_l), deep=deep)
-        write_pgm(outdir / f"err_{tag}_right.pgm", error_map(mr, truth_r), deep=deep)
-
-    q_std = quality_g(std_l, std_r, truth_l, truth_r, round_to_int=True)
-    q_smo = quality_g(smo_l, smo_r, truth_l, truth_r, round_to_int=True)
-    q_our = quality_g(our_l, our_r, truth_l, truth_r, round_to_int=True)
-    write_report_csv(outdir / "report.csv", report, q_std, q_smo, q_our)
-    return RunResult(q_std, q_smo, q_our, report, outdir)
+    return run_protocol(resolve_inputs(config), config.table, config.options, outdir, deep=deep)
 
 
 def _cmd_generate(args) -> int:
     config = load_config(args.config)
     if config.scene is None:
         raise ConfigError("generate needs a config with a [scene] section")
-    gen = generate_scene(config.scene)
+    inputs = resolve_inputs(config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_pgm(outdir / "truth_left.pgm", gen.left, deep=args.pgm16)
-    write_pgm(outdir / "truth_right.pgm", gen.right, deep=args.pgm16)
-    write_pgm(outdir / "mask_left.pgm", gen.mask_left * 255.0)
-    write_pgm(outdir / "mask_right.pgm", gen.mask_right * 255.0)
+    _write_truth(outdir, inputs, args.pgm16)
     print(f"wrote truth and mask pair to {outdir}")
     return 0
 
 
-def _make_table(args) -> np.ndarray:
-    if args.quality is not None and args.delta is not None:
-        raise ConfigError("give either --delta or --quality, not both")
-    if args.quality is not None:
-        return jpeg_table(args.quality)
-    return flat_table(args.delta if args.delta is not None else 24.0)
-
-
 def _cmd_compress(args) -> int:
-    table = _make_table(args)
+    table = _step_table(args.delta, args.quality)
     desc = encode_map(read_pgm(args.input), table)
     desc.save(args.output)
     print(f"encoded {args.input} -> {args.output} ({desc.n_blocks} blocks)")
@@ -436,15 +426,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    if (args.truth_left is None) != (args.truth_right is None):
+        raise ConfigError("give both --truth-left and --truth-right, or neither")
     config = load_config(args.config)
     desc_l = QuantizedDescription.load(args.left_desc)
     desc_r = QuantizedDescription.load(args.right_desc)
-    if config.scene is not None:
-        cameras = generate_scene(config.scene).cameras
-    else:
-        _, _, cameras, _ = _resolve_inputs(config)
+    cameras = config.camera_pair((desc_l.orig_height, desc_l.orig_width))
     truth = None
-    if args.truth_left and args.truth_right:
+    if args.truth_left is not None:
         truth = (read_pgm(args.truth_left), read_pgm(args.truth_right))
     our_l, our_r, report = refine(
         desc_l, desc_r, cameras.left, cameras.right, config.options, truth
@@ -453,9 +442,7 @@ def _cmd_refine(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_pgm(outdir / "our_left.pgm", our_l, deep=args.pgm16)
     write_pgm(outdir / "our_right.pgm", our_r, deep=args.pgm16)
-    lines = [CSV_HEADER] + _report_rows(report)
-    with open(outdir / "report.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_report_csv(outdir / "report.csv", report)
     state = "converged" if report.converged else "stopped"
     print(f"{state} after {report.iterations} iterations -> {outdir}")
     return 0
@@ -483,8 +470,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     result = run_pipeline(config, args.outdir, deep=args.pgm16)
     print(
-        f"Q_std={_fmt(result.q_std.g)} Q_smo={_fmt(result.q_smo.g)} "
-        f"Q_our={_fmt(result.q_our.g)} "
+        f"{result.scores()} "
         f"({'converged' if result.report.converged else 'stopped'} after "
         f"{result.report.iterations} iterations)"
     )
@@ -499,26 +485,17 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --deltas list {args.deltas!r}") from exc
     if not deltas:
         raise ConfigError("--deltas needs at least one value")
+    tables = [_step_table(delta, None) for delta in deltas]
+    inputs = resolve_inputs(config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["delta,q_std,q_smo,q_our"]
-    for delta in deltas:
-        sub = RunConfig(
-            scene=config.scene,
-            input_left=config.input_left,
-            input_right=config.input_right,
-            cameras=config.cameras,
-            simple_cam=config.simple_cam,
-            table=flat_table(delta),
-            options=config.options,
+    for delta, table in zip(deltas, tables):
+        result = run_protocol(
+            inputs, table, config.options, outdir / f"delta_{delta:g}", deep=args.pgm16
         )
-        result = run_pipeline(sub, outdir / f"delta_{delta:g}", deep=args.pgm16)
-        rows.append(
-            f"{delta:g},{_fmt(result.q_std.g)},{_fmt(result.q_smo.g)},"
-            f"{_fmt(result.q_our.g)}"
-        )
-        print(f"delta {delta:g}: Q_std={_fmt(result.q_std.g)} "
-              f"Q_smo={_fmt(result.q_smo.g)} Q_our={_fmt(result.q_our.g)}")
+        rows.append(",".join([f"{delta:g}", *result.g_values()]))
+        print(f"delta {delta:g}: {result.scores()}")
     with open(outdir / "aggregate.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     return 0
@@ -598,10 +575,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PgmFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PgmFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DepthPocsError, FloatingPointError) as exc:

@@ -80,15 +80,6 @@ def jpeg_table(quality: int) -> np.ndarray:
     return np.clip(steps, 1.0, 255.0)
 
 
-def _check_block(a, name: str) -> np.ndarray:
-    b = np.asarray(a, dtype=np.float64)
-    if b.shape != (BLOCK, BLOCK):
-        raise InvalidInputError(f"{name} must be {BLOCK}x{BLOCK}, got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    return b
-
-
 def _check_table(table) -> np.ndarray:
     t = np.asarray(table, dtype=np.float64)
     if t.shape != (BLOCK, BLOCK):
@@ -98,29 +89,17 @@ def _check_table(table) -> np.ndarray:
     return t
 
 
-def forward_dct(block) -> np.ndarray:
-    """Orthonormal 2D DCT-II of one 8x8 pixel block.
+def dct_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal 2D DCT-II of every block of a (n, 8, 8) stack.
 
     The transform preserves the Euclidean norm, so clipping done later in
     coefficient space is also a Euclidean projection in pixel space.
     """
-    b = _check_block(block, "pixel block")
-    return _T @ b @ _TT
-
-
-def inverse_dct(coeffs) -> np.ndarray:
-    """Exact inverse of forward_dct (the transpose). No output clamping."""
-    c = _check_block(coeffs, "coefficient block")
-    return _TT @ c @ _T
-
-
-def dct_blocks(blocks: np.ndarray) -> np.ndarray:
-    """forward_dct applied to a (n, 8, 8) stack in one call."""
     return _T @ blocks @ _TT
 
 
 def idct_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """inverse_dct applied to a (n, 8, 8) stack in one call."""
+    """Exact inverse of dct_blocks (the transpose). No output clamping."""
     return _TT @ coeffs @ _T
 
 

@@ -70,10 +70,6 @@ class CameraParams:
     def t(self) -> np.ndarray:
         return self.e[:, 3]
 
-    @property
-    def fx(self) -> float:
-        return float(self.k[0, 0])
-
 
 def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> CameraParams:
     """Axis-aligned camera: square pixels, R = I, translation along x."""

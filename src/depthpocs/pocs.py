@@ -228,10 +228,3 @@ def refine(
 
     return np.clip(left, 0.0, 255.0), np.clip(right, 0.0, 255.0), report
 
-
-def has_converged(report: IterationReport, options: RefineOptions) -> bool:
-    """True iff the last full iteration's half-step changes are all <= eps."""
-    if not report.entries:
-        raise InvalidInputError("report has no entries")
-    last = report.entries[-2:]
-    return all(e.mean_change <= options.eps for e in last)

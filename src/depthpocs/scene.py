@@ -72,8 +72,6 @@ class GeneratedScene:
     mask_left: np.ndarray
     mask_right: np.ndarray
     cameras: RectifiedPair
-    prim_left: np.ndarray
-    prim_right: np.ndarray
 
 
 class _Ripple:
@@ -205,7 +203,7 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         simple_camera(spec.focal, cx, cy, tx_l),
         simple_camera(spec.focal, cx, cy, tx_r),
     )
-    return GeneratedScene(left, right, mask_l, mask_r, cameras, prim_l, prim_r)
+    return GeneratedScene(left, right, mask_l, mask_r, cameras)
 
 
 def demo_scene(width: int = 256, height: int = 256, seed: int = 7) -> SceneSpec:

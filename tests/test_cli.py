@@ -1,5 +1,10 @@
 """End-to-end CLI tests: config parsing, every verb, artifact layout,
-CSV schema, determinism, and exit codes."""
+CSV schema, determinism, exit codes, and the names the benchmark wraps."""
+
+import importlib.util
+import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +76,20 @@ def small_cfg(tmp_path):
     p = tmp_path / "scene.ini"
     p.write_text(SMALL_SCENE)
     return p
+
+
+@pytest.fixture
+def coded(small_cfg, tmp_path):
+    """Truth pair of small_cfg and its two descriptions at delta 24."""
+    gdir = tmp_path / "gen"
+    assert main(["generate", str(small_cfg), "-o", str(gdir)]) == 0
+    paths = {}
+    for view in ("left", "right"):
+        paths[f"truth_{view}"] = gdir / f"truth_{view}.pgm"
+        paths[view] = tmp_path / f"{view[0]}.qdm"
+        assert main(["compress", str(paths[f"truth_{view}"]), "-o", str(paths[view]),
+                     "--delta", "24"]) == 0
+    return paths
 
 
 def read_csv_rows(path):
@@ -285,16 +304,11 @@ class TestPieceWiseVerbs:
         ])
         assert code == 2
 
-    def test_refine_verb(self, small_cfg, tmp_path):
-        gdir = tmp_path / "gen"
-        main(["generate", str(small_cfg), "-o", str(gdir)])
-        lq, rq = tmp_path / "l.qdm", tmp_path / "r.qdm"
-        main(["compress", str(gdir / "truth_left.pgm"), "-o", str(lq), "--delta", "24"])
-        main(["compress", str(gdir / "truth_right.pgm"), "-o", str(rq), "--delta", "24"])
+    def test_refine_verb(self, small_cfg, coded, tmp_path):
         out = tmp_path / "ref"
         assert main([
             "refine", str(small_cfg),
-            "--left-desc", str(lq), "--right-desc", str(rq),
+            "--left-desc", str(coded["left"]), "--right-desc", str(coded["right"]),
             "-o", str(out),
         ]) == 0
         assert (out / "our_left.pgm").is_file()
@@ -302,22 +316,62 @@ class TestPieceWiseVerbs:
         assert header == CSV_HEADER
         assert rows[0][2] == "nan"  # no ground truth supplied
 
-    def test_refine_verb_with_truth(self, small_cfg, tmp_path):
-        gdir = tmp_path / "gen"
-        main(["generate", str(small_cfg), "-o", str(gdir)])
-        lq, rq = tmp_path / "l.qdm", tmp_path / "r.qdm"
-        main(["compress", str(gdir / "truth_left.pgm"), "-o", str(lq), "--delta", "24"])
-        main(["compress", str(gdir / "truth_right.pgm"), "-o", str(rq), "--delta", "24"])
+    def test_refine_verb_with_truth(self, small_cfg, coded, tmp_path):
         out = tmp_path / "ref"
         assert main([
             "refine", str(small_cfg),
-            "--left-desc", str(lq), "--right-desc", str(rq),
-            "--truth-left", str(gdir / "truth_left.pgm"),
-            "--truth-right", str(gdir / "truth_right.pgm"),
+            "--left-desc", str(coded["left"]), "--right-desc", str(coded["right"]),
+            "--truth-left", str(coded["truth_left"]),
+            "--truth-right", str(coded["truth_right"]),
             "-o", str(out),
         ]) == 0
         _, rows = read_csv_rows(out / "report.csv")
         assert float(rows[0][2]) > 0.0
+
+    @pytest.mark.parametrize("flag", ["--truth-left", "--truth-right"])
+    def test_refine_needs_both_truths(self, small_cfg, coded, tmp_path, capsys, flag):
+        out = tmp_path / "ref"
+        assert main([
+            "refine", str(small_cfg),
+            "--left-desc", str(coded["left"]), "--right-desc", str(coded["right"]),
+            flag, str(coded["truth_left"]),
+            "-o", str(out),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refine_matches_run(self, small_cfg, tmp_path):
+        # refine builds its cameras from the descriptions' shape, run from
+        # the rendered truth; on the same scene they must agree exactly.
+        run_out, ref_out = tmp_path / "run", tmp_path / "ref"
+        assert main(["run", str(small_cfg), "-o", str(run_out)]) == 0
+        assert main([
+            "refine", str(small_cfg),
+            "--left-desc", str(run_out / "left.qdm"),
+            "--right-desc", str(run_out / "right.qdm"),
+            "--truth-left", str(run_out / "truth_left.pgm"),
+            "--truth-right", str(run_out / "truth_right.pgm"),
+            "-o", str(ref_out),
+        ]) == 0
+        for name in ("our_left.pgm", "our_right.pgm"):
+            assert (ref_out / name).read_bytes() == (run_out / name).read_bytes(), name
+        run_csv = (run_out / "report.csv").read_text().splitlines()
+        assert (ref_out / "report.csv").read_text().splitlines() == run_csv[:-1]
+
+    def test_refine_import_mode_needs_no_input_maps(self, coded, tmp_path):
+        # Only the camera sections are used; the [inputs] maps may be absent.
+        cfg = tmp_path / "import.ini"
+        cfg.write_text(
+            "[inputs]\nleft = gone_l.pgm\nright = gone_r.pgm\n"
+            "[camera]\nfocal = 120.0\nbaseline = 6.0\n[refine]\nmax_iters = 1\n"
+        )
+        out = tmp_path / "ref"
+        assert main([
+            "refine", str(cfg),
+            "--left-desc", str(coded["left"]), "--right-desc", str(coded["right"]),
+            "-o", str(out),
+        ]) == 0
+        assert (out / "our_right.pgm").is_file()
 
 
 class TestSweep:
@@ -334,8 +388,40 @@ class TestSweep:
     def test_sweep_bad_deltas(self, small_cfg, tmp_path):
         assert main(["sweep", str(small_cfg), "-o", str(tmp_path / "x"), "--deltas", "a,b"]) == 2
 
+    def test_sweep_matches_run(self, small_cfg, tmp_path):
+        # The sweep shares one truth pair across its steps; the step at 24,
+        # which runs after the one at 16, must be byte-identical to a run.
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sw"
+        assert main(["run", str(small_cfg), "-o", str(run_out)]) == 0
+        assert main(["sweep", str(small_cfg), "-o", str(sweep_out), "--deltas", "16,24"]) == 0
+        step = sweep_out / "delta_24"
+        assert sorted(p.name for p in step.iterdir()) == sorted(p.name for p in run_out.iterdir())
+        for f in sorted(run_out.iterdir()):
+            assert (step / f.name).read_bytes() == f.read_bytes(), f.name
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "quant, argv",
+        [
+            ("delta = 0", ["run", "{cfg}", "-o", "{out}"]),
+            ("delta = 24.0", ["compress", "{pgm}", "-o", "{out}", "--delta", "-1"]),
+            ("delta = 24.0", ["compress", "{pgm}", "-o", "{out}", "--quality", "0"]),
+            ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "16,-5"]),
+        ],
+        ids=["quant-delta-0", "compress-delta-neg", "compress-quality-0", "sweep-delta-neg"],
+    )
+    def test_bad_step_size_is_2_before_artifacts(self, tmp_path, capsys, quant, argv):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE.replace("delta = 24.0", quant))
+        pgm = tmp_path / "in.pgm"
+        write_pgm(pgm, np.full((16, 16), 90.0))
+        before = sorted(tmp_path.rglob("*"))
+        args = [a.format(cfg=cfg, pgm=pgm, out=tmp_path / "out") for a in argv]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_io_failure_is_3(self, tmp_path, capsys):
         assert main(["decode", str(tmp_path / "missing.qdm"), "-o", str(tmp_path / "o.pgm")]) == 3
         assert main(["compress", str(tmp_path / "missing.pgm"), "-o", str(tmp_path / "o.qdm")]) == 3
@@ -369,3 +455,33 @@ class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit):
             main(["--version"])
+
+
+def _load_bench_instrument():
+    path = Path(__file__).resolve().parent.parent / "bench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("bench_instrument", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchContract:
+    """The benchmark patches names in the program's modules; they must exist."""
+
+    def test_wrapped_names_exist(self):
+        instrument = _load_bench_instrument()
+        for module, names in instrument.WRAPPED.items():
+            for name in names:
+                assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        import depthpocs.cli
+
+        for name in ("save", "load"):
+            assert name in depthpocs.cli.QuantizedDescription.__dict__, name
+
+    def test_half_iteration_parameters_read_by_probe(self):
+        instrument = _load_bench_instrument()
+        import depthpocs.pocs
+
+        read = set(re.findall(r'bound\["(\w+)"\]', inspect.getsource(instrument.Probe.after)))
+        params = set(inspect.signature(depthpocs.pocs.half_iteration).parameters)
+        assert read and read <= params, read - params

@@ -23,12 +23,9 @@ from depthpocs.errors import (
 )
 from depthpocs.geometry import simple_camera
 from depthpocs.pocs import (
-    IterationReport,
     RefineOptions,
-    ReportEntry,
     _sanity_bound,
     half_iteration,
-    has_converged,
     refine,
 )
 from depthpocs.scene import Box, Plane, SceneSpec, generate_scene
@@ -140,6 +137,12 @@ class TestRefine:
         assert report.iterations == 1
         assert report.converged
         assert len(report.entries) == 2
+        # eps = 0 stops only on an exact fixed point, which this scene never reaches.
+        opts = RefineOptions(eps=0.0, max_iters=2)
+        _, _, report = refine(dl, dr, gen.cameras.left, gen.cameras.right, opts)
+        assert report.iterations == 2
+        assert not report.converged
+        assert min(e.mean_change for e in report.entries) > 0.0
 
     def test_constant_scene_is_fixed_point(self):
         const = np.full((32, 32), 128.0)
@@ -258,27 +261,3 @@ class TestRefine:
             _sanity_bound(maps, -96.0, 255.0 + 96.0, "test")
         _sanity_bound([np.full((4, 4), -50.0)], -96.0, 255.0 + 96.0, "test")
 
-
-class TestHasConverged:
-    def _report(self, *changes):
-        rep = IterationReport()
-        for i, ch in enumerate(changes):
-            rep.entries.append(ReportEntry(1 + i // 2, "right" if i % 2 == 0 else "left", ch, 0.0))
-        return rep
-
-    def test_both_below(self):
-        assert has_converged(self._report(0.0, 0.0), RefineOptions(eps=0.01))
-
-    def test_one_above(self):
-        assert not has_converged(self._report(0.5, 0.001), RefineOptions(eps=0.01))
-
-    def test_zero_eps_nonzero_change(self):
-        assert not has_converged(self._report(1e-9, 1e-12), RefineOptions(eps=0.0))
-
-    def test_only_last_iteration_counts(self):
-        rep = self._report(5.0, 5.0, 0.001, 0.002)
-        assert has_converged(rep, RefineOptions(eps=0.01))
-
-    def test_empty_report_rejected(self):
-        with pytest.raises(InvalidInputError):
-            has_converged(IterationReport(), RefineOptions())
