@@ -431,10 +431,21 @@ def _cmd_refine(args) -> int:
     config = load_config(args.config)
     desc_l = QuantizedDescription.load(args.left_desc)
     desc_r = QuantizedDescription.load(args.right_desc)
-    cameras = config.camera_pair((desc_l.orig_height, desc_l.orig_width))
+    shape = (desc_l.orig_height, desc_l.orig_width)
+    if (desc_r.orig_height, desc_r.orig_width) != shape:
+        raise ConfigError(
+            f"descriptions disagree in size: {shape} vs "
+            f"{(desc_r.orig_height, desc_r.orig_width)}"
+        )
+    cameras = config.camera_pair(shape)
     truth = None
     if args.truth_left is not None:
         truth = (read_pgm(args.truth_left), read_pgm(args.truth_right))
+        for view, t in zip(VIEWS, truth):
+            if t.shape != shape:
+                raise ConfigError(
+                    f"--truth-{view} is {t.shape}, the descriptions are {shape}"
+                )
     our_l, our_r, report = refine(
         desc_l, desc_r, cameras.left, cameras.right, config.options, truth
     )
@@ -485,15 +496,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --deltas list {args.deltas!r}") from exc
     if not deltas:
         raise ConfigError("--deltas needs at least one value")
+    names = [f"delta_{delta:g}" for delta in deltas]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"--deltas {args.deltas!r}: two steps share a delta_<step> directory")
     tables = [_step_table(delta, None) for delta in deltas]
     inputs = resolve_inputs(config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["delta,q_std,q_smo,q_our"]
-    for delta, table in zip(deltas, tables):
-        result = run_protocol(
-            inputs, table, config.options, outdir / f"delta_{delta:g}", deep=args.pgm16
-        )
+    for delta, table, name in zip(deltas, tables, names):
+        result = run_protocol(inputs, table, config.options, outdir / name, deep=args.pgm16)
         rows.append(",".join([f"{delta:g}", *result.g_values()]))
         print(f"delta {delta:g}: {result.scores()}")
     with open(outdir / "aggregate.csv", "w", encoding="ascii", newline="\n") as fh:

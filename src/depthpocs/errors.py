@@ -18,14 +18,6 @@ class CorruptDescriptionError(DepthPocsError, ValueError):
     """A quantized description is internally inconsistent."""
 
 
-class NoSolutionError(DepthPocsError, ArithmeticError):
-    """Back-projection has no valid solution for the requested pixel."""
-
-
-class BehindCameraError(DepthPocsError, ArithmeticError):
-    """A world point projects behind the camera plane."""
-
-
 class InvalidConfigurationError(DepthPocsError, ValueError):
     """Camera setup is invalid or the camera pair is not rectified."""
 

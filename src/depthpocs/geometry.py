@@ -6,33 +6,20 @@ scalar multiple of K @ E @ (x, y, d, 1). The depth sample doubles as the
 third world coordinate, which is what lets a rectified pair pass depth
 values between views unchanged.
 
-back_project eliminates the unknown scale by solving the 3x3 linear
-system in (x, y, s) obtained from K^-1 @ (col, row, 1) * s = R @ p + t,
-where s is the reciprocal of the scale and equals the point's distance
-along the camera axis.
+projective_scale_grid eliminates the unknown world x and y from the 3x3
+linear system in (x, y, s) obtained from K^-1 @ (col, row, 1) * s =
+R @ p + t, where s is the point's distance along the camera axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    InvalidConfigurationError,
-    InvalidInputError,
-    NoSolutionError,
-)
+from .errors import InvalidConfigurationError
 
 _ORTHO_TOL = 1e-9
-
-
-class WorldPoint(NamedTuple):
-    x: float
-    y: float
-    d: float
 
 
 @dataclass
@@ -110,72 +97,19 @@ class RectifiedPair:
         return float(self.right.t[0] - self.left.t[0])
 
 
-def _normalized_ray(row: float, col: float, cam: CameraParams) -> np.ndarray:
-    """K^-1 @ (col, row, 1) by back substitution; third component is exactly 1."""
-    k = cam.k
-    my = (row - k[1, 2]) / k[1, 1]
-    mx = (col - k[0, 1] * my - k[0, 2]) / k[0, 0]
-    return np.array([mx, my, 1.0])
+def projective_scale_grid(cam: CameraParams, depth: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Per-pixel distance along the camera axis for a depth map.
 
-
-def back_project(row: float, col: float, depth: float, cam: CameraParams) -> WorldPoint:
-    """Lift a pixel with a known depth value to its world point (x, y, depth).
-
-    Solves the 3x3 system in (x, y, s); s is the positive distance along
-    the camera axis and is not exposed.
-    """
-    if not np.isfinite(depth) or depth <= 0:
-        raise InvalidInputError(f"depth must be positive and finite, got {depth}")
-    m = _normalized_ray(row, col, cam)
-    r = cam.r
-    t = cam.t
-    mat = np.array(
-        [
-            [r[0, 0], r[0, 1], -m[0]],
-            [r[1, 0], r[1, 1], -m[1]],
-            [r[2, 0], r[2, 1], -m[2]],
-        ]
-    )
-    rhs = -(r[:, 2] * depth + t)
-    try:
-        x, y, s = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NoSolutionError(
-            f"pixel ({row}, {col}) is degenerate for this camera"
-        ) from exc
-    if not np.isfinite(s) or s <= 0:
-        raise NoSolutionError(
-            f"pixel ({row}, {col}) at depth {depth} has non-positive projective scale"
-        )
-    return WorldPoint(float(x), float(y), float(depth))
-
-
-def project(point: WorldPoint, cam: CameraParams) -> tuple[float, float, float]:
-    """Project a world point into a view; returns (row, col, depth).
-
-    Row and column are real-valued (sub-pixel); the depth value passes
-    through unchanged because it is the third world coordinate.
-    """
-    p = np.array([point.x, point.y, point.d], dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("world point must be finite")
-    h = cam.k @ (cam.r @ p + cam.t)
-    if h[2] <= 0:
-        raise BehindCameraError(f"point {tuple(p)} projects behind the camera")
-    return float(h[1] / h[2]), float(h[0] / h[2]), float(point.d)
-
-
-def projective_scale_grid(cam: CameraParams, depth: np.ndarray) -> np.ndarray:
-    """Per-pixel distance along the camera axis for a whole depth map.
-
-    Vectorized Cramer solve of the same 3x3 system back_project uses,
-    keeping only the scale s. Pixels with non-positive depth get NaN.
+    Vectorized Cramer solve of the 3x3 system in (x, y, s), keeping only
+    the scale s. Pixels with non-positive depth get NaN. depth may be rows
+    row0, row0 + 1, ... of a larger map; each pixel's value depends only
+    on its own row, column and depth.
     """
     h, w = depth.shape
     k = cam.k
     r = cam.r
     t = cam.t
-    rows = np.arange(h, dtype=np.float64).reshape(-1, 1)
+    rows = np.arange(row0, row0 + h, dtype=np.float64).reshape(-1, 1)
     cols = np.arange(w, dtype=np.float64).reshape(1, -1)
     my = (rows - k[1, 2]) / k[1, 1]
     mx = (cols - k[0, 1] * my - k[0, 2]) / k[0, 0]

@@ -11,6 +11,13 @@ For a rectified pair the composition of back-projection and re-projection
 collapses to a pure column shift of fx * baseline / s per pixel, where s
 is the distance along the shared camera axis. Using that closed form
 keeps the identity warp (equal cameras) exact down to the bit.
+
+Every stage is row-local: a sample stays on its source row, interpolation
+reads only that row, and the filter reads radius rows on either side. So
+project_view(rows=(a, b)) computes output rows [a, b) of a stripe of the
+map from source and target rows [a - radius, b + radius) alone, clipped
+to the map; windows are still truncated at the map's borders only. The
+rows come out bit for bit as in the whole projection.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ _BAND_ROWS = 32
 
 
 def forward_warp(
-    src, src_cam: CameraParams, dst_cam: CameraParams
+    src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Warp every positive-depth source pixel into the target view.
 
@@ -39,11 +46,13 @@ def forward_warp(
     real-valued target column, depth and source column. Samples whose
     target column falls outside [-1, width] cannot influence any grid
     pixel and are dropped, as are pixels that end up behind the camera.
+    src may be the rows row0, row0 + 1, ... of a larger map; the returned
+    rows then count from row0.
     """
     require_rectified(src_cam, dst_cam)
     m = as_map(src, "source map")
     w = m.shape[1]
-    scale = projective_scale_grid(src_cam, m)
+    scale = projective_scale_grid(src_cam, m, row0)
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
     cols = np.arange(w, dtype=np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -132,14 +141,15 @@ def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
 
 
 def bilateral_filter(
-    map_, sigma_s: float, sigma_r: float, radius: int
+    map_, sigma_s: float, sigma_r: float, radius: int, rows: tuple[int, int] | None = None
 ) -> np.ndarray:
     """Edge-preserving smoothing with Gaussian spatial and range kernels.
 
     Windows are truncated at the borders and weights renormalized per
     pixel, so every output sample is a convex combination of input samples
     in its window. radius 0 is the documented off switch and returns a
-    copy of the input.
+    copy of the input. rows=(a, b) returns output rows [a, b) only, each
+    exactly as the whole filtered map has it.
 
     Offsets o and -o give a pixel pair the same weight, and weighted
     deviations that are exact negatives of each other. The output is made
@@ -153,13 +163,14 @@ def bilateral_filter(
     radius = int(radius)
     if radius < 0:
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+    h, w = m.shape
+    a, b = (0, h) if rows is None else rows
     if radius == 0:
-        return m.copy()
+        return m[a:b].copy()
     if sigma_s <= 0 or sigma_r <= 0:
         raise InvalidParameterError(
             f"sigmas must be positive, got sigma_s={sigma_s} sigma_r={sigma_r}"
         )
-    h, w = m.shape
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     # Offsets before the center in window order; (-dy, -dx) follow it in
@@ -174,17 +185,17 @@ def bilateral_filter(
     # when a sigma is so small that its inverse overflows. Its weighted
     # deviation is +0.0, which leaves num unchanged.
     w_center = math.exp(-0 * inv2ss) * np.exp(-(0.0 * 0.0) * inv2sr)
-    band = max(1, min(h, _BAND_ROWS))
+    band = max(1, min(b - a, _BAND_ROWS))
     # One preallocated buffer holds a band's stored terms, each as a
     # contiguous array.
     store = np.empty((len(firsts), 2, (band + radius) * w))
     num = np.empty(band * w)
     den = np.empty(band * w)
-    out = np.empty_like(m)
+    out = np.empty((b - a, w))
     # Accumulating weighted deviations from the center (instead of weighted
     # values) keeps flat regions exactly unchanged in floating point.
-    for b0 in range(0, h, band):
-        b1 = min(h, b0 + band)
+    for b0 in range(a, b, band):
+        b1 = min(b, b0 + band)
         bn = (b1 - b0) * w
         num_b = num[:bn].reshape(b1 - b0, w)
         den_b = den[:bn].reshape(b1 - b0, w)
@@ -223,7 +234,7 @@ def bilateral_filter(
             num_b[q] -= term[p0 - y0 : p1 - y0]
             den_b[q] += wgt[p0 - y0 : p1 - y0]
         np.divide(num_b, den_b, out=num_b)
-        np.add(m[b0:b1], num_b, out=out[b0:b1])
+        np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
     return out
 
 
@@ -237,14 +248,21 @@ def project_view(
     sigma_s: float = 2.0,
     sigma_r: float = 10.0,
     radius: int = 3,
+    rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Full view-to-view projection: warp, interpolate, bilateral filter.
 
     Target pixels that receive no candidates keep their dst_current value
-    (before filtering). Deterministic for fixed inputs.
+    (before filtering). Deterministic for fixed inputs. rows=(a, b)
+    returns output rows [a, b) only, computed from the source and target
+    rows within radius of them.
     """
     s = as_map(src, "source map")
     cur = as_map(dst_current, "target map")
     require_same_shape(s, cur, "project_view")
-    interp = _interpolate_grid(forward_warp(s, src_cam, dst_cam), cur, tau)
-    return bilateral_filter(interp, sigma_s, sigma_r, radius)
+    h = s.shape[0]
+    a, b = (0, h) if rows is None else rows
+    halo = max(0, int(radius))
+    s0, s1 = max(0, a - halo), min(h, b + halo)
+    interp = _interpolate_grid(forward_warp(s[s0:s1], src_cam, dst_cam, s0), cur[s0:s1], tau)
+    return bilateral_filter(interp, sigma_s, sigma_r, radius, (a - s0, b - s0))

@@ -5,7 +5,8 @@ A1  endpoint quality ordering on the bundled scene, within 60 s
 A2  every half-iteration output satisfies its bin constraints exactly
 A3  the ground truth lies inside its own description's constraint set
 A4  forward/inverse DCT against a brute-force double-sum oracle
-A5  geometry round trip and disparity law on random rectified rigs
+A5  geometry round trip and disparity law on random rectified rigs; the
+    vectorized scale grid, whole and row-offset, against the scalar solve
 A6  clip projection: idempotence and non-expansiveness
 A7  identity warp is bit-exact
 A8  PSNR against a naive reference implementation
@@ -31,11 +32,12 @@ from depthpocs.codec import (
     pad_to_blocks,
     split_blocks,
 )
-from depthpocs.geometry import CameraParams, back_project, project, simple_camera
+from depthpocs.geometry import CameraParams, projective_scale_grid, simple_camera
 from depthpocs.metrics import psnr
 from depthpocs.pocs import half_iteration
 from depthpocs.scene import generate_scene
 from depthpocs.warp import project_view
+from geometry_oracle import back_project, project, solve_pixel
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "twoplane.ini"
 
@@ -196,8 +198,8 @@ class TestA4DctOracle:
 class TestA5GeometryOracle:
     def test_a5(self):
         rng = np.random.default_rng(555)
-        worst_rt = worst_law = worst_row = 0.0
-        for _ in range(1000):
+        worst_rt = worst_law = worst_row = worst_grid = 0.0
+        for i in range(1000):
             f = rng.uniform(50.0, 500.0)
             fy = rng.uniform(50.0, 500.0)
             k = np.array(
@@ -220,12 +222,26 @@ class TestA5GeometryOracle:
             r2, c2, d2 = project(p, right)
             worst_row = max(worst_row, abs(r2 - r))
             worst_law = max(worst_law, abs((c2 - c) - f * b / d))
-        ok = worst_rt <= 1e-6 and worst_law <= 1e-6 and worst_row <= 1e-6
+            # The scale grid at an integer pixel, from a slab of the rows
+            # row0..row of a map, as the stripes compute it; every tenth rig
+            # uses the whole map above the pixel (row0 = 0). The optical axis
+            # is tilted so that the scale depends on the row.
+            tilt = rng.uniform(-0.05, 0.05)
+            cos, sin = math.cos(tilt), math.sin(tilt)
+            tilt_x = [[1.0, 0, 0], [0, cos, -sin], [0, sin, cos]]
+            tilted = CameraParams(k, np.hstack([tilt_x, [[tx], [ty], [0.0]]]))
+            row, col = int(r), int(c)
+            row0 = 0 if i % 10 == 0 else row - int(rng.integers(0, min(row, 15) + 1))
+            depth = rng.uniform(1.0, 255.0, (row - row0 + 1, col + 1))
+            grid = projective_scale_grid(tilted, depth, row0=row0)
+            want = solve_pixel(row, col, depth[-1, col], tilted)[2]
+            worst_grid = max(worst_grid, abs(grid[-1, col] - want) / want)
+        ok = worst_rt <= 1e-6 and worst_law <= 1e-6 and worst_row <= 1e-6 and worst_grid <= 1e-9
         report(
             "A5",
             ok,
             f"1000 rigs: round-trip {worst_rt:.2e}, disparity law {worst_law:.2e}, "
-            f"row drift {worst_row:.2e}",
+            f"row drift {worst_row:.2e}, scale grid {worst_grid:.2e} (relative)",
         )
 
 

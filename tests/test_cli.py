@@ -408,8 +408,14 @@ class TestExitCodes:
             ("delta = 24.0", ["compress", "{pgm}", "-o", "{out}", "--delta", "-1"]),
             ("delta = 24.0", ["compress", "{pgm}", "-o", "{out}", "--quality", "0"]),
             ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "16,-5"]),
+            # Both values would write into the same delta_<step> directory.
+            ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "16,16.0"]),
+            ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "96,96.000001"]),
         ],
-        ids=["quant-delta-0", "compress-delta-neg", "compress-quality-0", "sweep-delta-neg"],
+        ids=[
+            "quant-delta-0", "compress-delta-neg", "compress-quality-0", "sweep-delta-neg",
+            "sweep-same-dir-16", "sweep-same-dir-96",
+        ],
     )
     def test_bad_step_size_is_2_before_artifacts(self, tmp_path, capsys, quant, argv):
         cfg = tmp_path / "c.ini"
@@ -421,6 +427,25 @@ class TestExitCodes:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("odd", ["--right-desc", "--truth-left"])
+    def test_refine_shape_mismatch_is_2(self, small_cfg, coded, tmp_path, capsys, odd):
+        # A 40x32 map beside 64x64 descriptions.
+        small = tmp_path / "small.pgm"
+        write_pgm(small, np.full((40, 32), 90.0))
+        assert main(["compress", str(small), "-o", str(tmp_path / "small.qdm")]) == 0
+        paths = {
+            "--left-desc": coded["left"], "--right-desc": coded["right"],
+            "--truth-left": coded["truth_left"], "--truth-right": coded["truth_right"],
+        }
+        paths[odd] = tmp_path / ("small.qdm" if odd.endswith("desc") else "small.pgm")
+        argv = ["refine", str(small_cfg), "-o", str(tmp_path / "ref")]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "ref").exists()
 
     def test_io_failure_is_3(self, tmp_path, capsys):
         assert main(["decode", str(tmp_path / "missing.qdm"), "-o", str(tmp_path / "o.pgm")]) == 3

@@ -1,26 +1,26 @@
-"""Camera model tests: back-projection and projection round trips,
-rectified-pair validation, and the disparity law."""
+"""Camera model tests: the scalar back-projection and projection oracle
+(round trips, the disparity law), rectified-pair validation and the
+vectorized scale grid against the oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from depthpocs.errors import (
-    BehindCameraError,
-    InvalidConfigurationError,
-    InvalidInputError,
-    NoSolutionError,
-)
+from depthpocs.errors import InvalidConfigurationError, InvalidInputError
 from depthpocs.geometry import (
     CameraParams,
     RectifiedPair,
-    WorldPoint,
-    back_project,
     is_rectified,
-    project,
     projective_scale_grid,
     simple_camera,
+)
+from geometry_oracle import (
+    BehindCameraError,
+    NoSolutionError,
+    WorldPoint,
+    back_project,
+    project,
 )
 
 

@@ -1,8 +1,14 @@
 """Refinement loop tests: half-iteration contract (feasibility, fixed
-points, the flat scripted oracle), stopping rules, and determinism."""
+points, the flat scripted oracle), stopping rules, determinism, and the
+block-row stripes with their worker processes."""
+
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from depthpocs.codec import (
     bin_bounds,
@@ -12,16 +18,19 @@ from depthpocs.codec import (
     encode_map,
     flat_table,
     idct_blocks,
+    jpeg_table,
     merge_blocks,
     pad_to_blocks,
     split_blocks,
 )
+from depthpocs import pocs
 from depthpocs.errors import (
+    DepthPocsError,
     InvalidConfigurationError,
     InvalidInputError,
     InvalidParameterError,
 )
-from depthpocs.geometry import simple_camera
+from depthpocs.geometry import CameraParams, simple_camera
 from depthpocs.pocs import (
     RefineOptions,
     _sanity_bound,
@@ -261,3 +270,156 @@ class TestRefine:
             _sanity_bound(maps, -96.0, 255.0 + 96.0, "test")
         _sanity_bound([np.full((4, 4), -50.0)], -96.0, 255.0 + 96.0, "test")
 
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def coded_pair(width, height):
+    gen = generate_scene(small_scene(width, height))
+    table = flat_table(24.0)
+    return gen, encode_map(gen.left, table), encode_map(gen.right, table)
+
+
+def refine_with_stripes(monkeypatch, count, gen, dl, dr, opts):
+    with monkeypatch.context() as m:
+        m.setattr(pocs, "_stripe_count", lambda height, width, max_iters: count)
+        return refine(dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right))
+
+
+class TestStripes:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        h=st.integers(1, 80),
+        w=st.integers(1, 24),
+        radius=st.integers(0, 5),
+        count=st.integers(1, 4),
+        fork=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_striped_equals_one_stripe_bitwise(self, h, w, radius, count, fork, seed):
+        rng = np.random.default_rng(seed)
+        # A shared tilt of the optical axis makes the scale grid depend on
+        # the absolute row, which a stripe must therefore know.
+        th = rng.uniform(-0.3, 0.3)
+        c, s = math.cos(th), math.sin(th)
+        rot = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
+        k = np.array(
+            [[rng.uniform(40, 150), 0, rng.uniform(0, w)], [0, 90.0, rng.uniform(0, h)], [0, 0, 1]]
+        )
+        tx = rng.uniform(-6, 6)
+        src_cam = CameraParams(k, np.hstack([rot, [[0.0], [1.0], [0.0]]]))
+        dst_cam = CameraParams(k, np.hstack([rot, [[tx], [1.0], [0.0]]]))
+        if rng.random() < 0.5:
+            table = jpeg_table(int(rng.integers(1, 101)))
+        else:
+            table = flat_table(rng.uniform(2, 40))
+        desc = encode_map(rng.uniform(30, 250, (h, w)), table)
+        maps = [rng.uniform(30, 250, (h, w)) for _ in range(4)]
+        maps[0][rng.random((h, w)) < 0.1] = 0.0  # pixels the warp skips
+        opts = RefineOptions(radius=radius, sigma_r=rng.uniform(1, 40))
+        with pocs._Stripes((desc,), (h, w), count, fork=fork) as stripes:
+            assert len(stripes.workers) == (len(stripes.rows) - 1 if fork else 0)
+            # Two calls on one context: each must use its own arguments.
+            for src, cur in (maps[:2], maps[2:]):
+                want, want_stats = half_iteration(src, src_cam, dst_cam, desc, cur, opts)
+                got, stats = half_iteration(src, src_cam, dst_cam, desc, cur, opts, stripes=stripes)
+                assert np.array_equal(got, want)
+                assert stats == want_stats
+        assert no_child_left()
+
+    def test_context_serves_only_its_descriptions(self):
+        gen, dl, dr = coded_pair(16, 16)
+        cams = gen.cameras
+        with pocs._Stripes((dr,), gen.left.shape) as stripes:
+            with pytest.raises(InvalidInputError):
+                half_iteration(
+                    gen.right, cams.right, cams.left, dl, gen.left, RefineOptions(),
+                    stripes=stripes,
+                )
+
+    @pytest.mark.parametrize("height", [1, 8, 9, 64, 65, 80])
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_stripe_rows_cut_at_block_rows(self, height, count):
+        rows = pocs._stripe_rows(height, count)
+        assert len(rows) == min(count, math.ceil(height / 8))
+        assert rows[0][0] == 0 and rows[-1][1] == height
+        for (a, b), (c, _) in zip(rows, rows[1:]):
+            assert b == c and a % 8 == 0 and b % 8 == 0 and b > a
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_refine_independent_of_stripe_count(self, monkeypatch, count):
+        gen, dl, dr = coded_pair(40, 72)
+        opts = RefineOptions(max_iters=2)
+        one = refine_with_stripes(monkeypatch, 1, gen, dl, dr, opts)
+        many = refine_with_stripes(monkeypatch, count, gen, dl, dr, opts)
+        assert np.array_equal(many[0], one[0]) and np.array_equal(many[1], one[1])
+        assert many[2].entries == one[2].entries
+
+    def test_stripe_count_follows_cpus_and_work(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert pocs._stripe_count(1000, 1000, 10) == 3
+        # Each stripe carries at least _MIN_STRIPE_WORK pixel-iterations.
+        work = 2 * pocs._MIN_STRIPE_WORK
+        assert pocs._stripe_count(work // 8, 4, 2) == 2
+        assert pocs._stripe_count(work // 8 - 1, 4, 2) == 1
+        assert pocs._stripe_count(256, 256, 1) == 1  # a one-iteration preview
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert pocs._stripe_count(1000, 1000, 10) == 1
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert pocs._stripe_count(1000, 1000, 10) == 1
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        gen, dl, dr = coded_pair(24, 32)
+        monkeypatch.setattr(pocs, "_MIN_STRIPE_WORK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("refine forked on one CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        opts = RefineOptions(max_iters=1)
+        left, _, report = refine(dl, dr, gen.cameras.left, gen.cameras.right, opts)
+        assert report.iterations == 1 and left.shape == gen.left.shape
+
+    def test_worker_failure_raised_in_parent(self, monkeypatch):
+        gen, dl, dr = coded_pair(32, 48)
+        opts = RefineOptions(max_iters=2)
+        parent = os.getpid()
+        project_view = pocs.project_view
+
+        def fails_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("injected worker fault")
+            return project_view(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(pocs, "project_view", fails_in_worker)
+            with pytest.raises(DepthPocsError, match="injected worker fault"):
+                refine_with_stripes(monkeypatch, 2, gen, dl, dr, opts)
+        assert no_child_left()
+        # The next refine forks afresh and matches one stripe.
+        two = refine_with_stripes(monkeypatch, 2, gen, dl, dr, opts)
+        one = refine_with_stripes(monkeypatch, 1, gen, dl, dr, opts)
+        assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[1])
+
+    def test_interrupt_in_parent_reaps_workers(self, monkeypatch):
+        gen, dl, dr = coded_pair(32, 48)
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pocs, "_sanity_bound", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            refine_with_stripes(monkeypatch, 3, gen, dl, dr, RefineOptions())
+        assert no_child_left()

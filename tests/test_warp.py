@@ -293,8 +293,11 @@ class TestBilateral:
         sigma_r=st.floats(0.05, 200.0),
         quantized=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     )
-    def test_matches_reference_bitwise(self, h, w, radius, sigma_s, sigma_r, quantized, seed):
+    def test_matches_reference_bitwise(
+        self, h, w, radius, sigma_s, sigma_r, quantized, seed, cuts
+    ):
         rng = np.random.default_rng(seed)
         if quantized:  # few levels: many exactly equal neighbors
             m = rng.integers(0, 4, (h, w)) * 20.0 + 40.0
@@ -307,6 +310,9 @@ class TestBilateral:
         m[y0:y1, x0:x1] = 77.25
         out = bilateral_filter(m, sigma_s, sigma_r, radius)
         assert np.array_equal(out, bilateral_reference(m, sigma_s, sigma_r, radius))
+        # Any run of output rows alone, as a stripe of a half-iteration asks.
+        a, b = sorted(round(c * h) for c in cuts)
+        assert np.array_equal(bilateral_filter(m, sigma_s, sigma_r, radius, (a, b)), out[a:b])
         r0, r1 = (0 if y0 == 0 else y0 + radius), (h if y1 == h else y1 - radius)
         c0, c1 = (0 if x0 == 0 else x0 + radius), (w if x1 == w else x1 - radius)
         assert np.all(out[r0 : max(r0, r1), c0 : max(c0, c1)] == 77.25)
