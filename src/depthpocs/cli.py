@@ -464,6 +464,9 @@ def _cmd_evaluate(args) -> int:
     right = read_pgm(args.right)
     ref_l = read_pgm(args.ref_left)
     ref_r = read_pgm(args.ref_right)
+    for view, m, ref in zip(VIEWS, (left, right), (ref_l, ref_r)):
+        if m.shape != ref.shape:
+            raise ConfigError(f"--{view} is {m.shape}, --ref-{view} is {ref.shape}")
     score = quality_g(left, right, ref_l, ref_r)
     if args.outdir:
         outdir = Path(args.outdir)

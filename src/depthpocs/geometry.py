@@ -20,6 +20,8 @@ import numpy as np
 from .errors import InvalidConfigurationError
 
 _ORTHO_TOL = 1e-9
+# Largest difference in K, R, or the y and z of t, between two rectified views.
+_RECTIFIED_TOL = 1e-9
 
 
 @dataclass
@@ -65,14 +67,14 @@ def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> Camera
     return CameraParams(k, e)
 
 
-def is_rectified(a: CameraParams, b: CameraParams, tol: float = 1e-9) -> bool:
+def is_rectified(a: CameraParams, b: CameraParams) -> bool:
     """True when the two views share K and R and differ only in x-translation."""
-    if np.max(np.abs(a.k - b.k)) > tol:
+    if np.max(np.abs(a.k - b.k)) > _RECTIFIED_TOL:
         return False
-    if np.max(np.abs(a.r - b.r)) > tol:
+    if np.max(np.abs(a.r - b.r)) > _RECTIFIED_TOL:
         return False
     dt = a.t - b.t
-    return abs(dt[1]) <= tol and abs(dt[2]) <= tol
+    return abs(dt[1]) <= _RECTIFIED_TOL and abs(dt[2]) <= _RECTIFIED_TOL
 
 
 def require_rectified(a: CameraParams, b: CameraParams) -> None:
@@ -91,10 +93,6 @@ class RectifiedPair:
 
     def __post_init__(self):
         require_rectified(self.left, self.right)
-
-    @property
-    def baseline(self) -> float:
-        return float(self.right.t[0] - self.left.t[0])
 
 
 def projective_scale_grid(cam: CameraParams, depth: np.ndarray, row0: int = 0) -> np.ndarray:

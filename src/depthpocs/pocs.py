@@ -12,9 +12,9 @@ any of its blocks yields coefficients inside the bins the decoder knows.
 The source view is read-only during its half-iteration.
 
 A half-iteration is computed in block-row stripes. Rectification keeps
-every warped sample on its source row and the filter reads only radius
-rows around each output row, so rows [a, b) of the output need only the
-rows [a - radius, b + radius) of the two input maps. Stripes start and end
+every warped sample on its source row and the filter reads only a few rows
+around each output row, so warp.project_view computes any range of output
+rows on its own and knows which input rows it reads. Stripes start and end
 on block rows, so each is clipped on its own. refine splits the map into
 one stripe per CPU it may use and forks a worker for every stripe after the
 first, once for the whole loop (see _Stripes). Every output sample is
@@ -70,14 +70,16 @@ class RefineOptions:
     round_metrics: bool = False
 
     def __post_init__(self):
+        for name in ("max_iters", "radius"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
         if self.start not in ("left", "right"):
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
-        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Integral):
-            raise InvalidParameterError(f"radius must be an integer, got {self.radius!r}")
         if self.radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
         if not (self.sigma_s > 0 and self.sigma_r > 0):
@@ -161,21 +163,22 @@ class _Stripes:
     """The stripes of refine's half-iterations and what they share.
 
     Holds the bin bounds of each description, built once, and the stripes
-    of a map of `shape`. With fork=True a worker process is forked for
-    every stripe after the first and computes that stripe for the
-    context's whole life, while the parent computes the first one. The
-    maps travel through anonymous shared memory mapped before the fork;
-    pipes carry the other arguments of each half-iteration to the workers
-    and their clip counts back. Leaving the context ends the workers.
+    of a map of `shape`. A context with more than one stripe forks a
+    worker process for every stripe after the first when it is built; the
+    worker computes that stripe for the context's whole life, while the
+    parent computes the first one. The whole source and target maps travel
+    through anonymous shared memory mapped before the fork, so only
+    project_view knows which rows a stripe reads. Pipes carry the other
+    arguments of each half-iteration to the workers and their clip counts
+    back. Leaving the context ends the workers.
     """
 
-    def __init__(self, descs, shape: tuple[int, int], count: int = 1, fork: bool = False):
+    def __init__(self, descs, shape: tuple[int, int], count: int = 1):
         self.descs = tuple(descs)
         self.bounds = [bin_bounds(d.indices, d.table) for d in self.descs]
         self.rows = _stripe_rows(shape[0], count)
-        self.own = self.rows
         self.workers: list[_Worker] = []
-        if fork and len(self.rows) > 1:
+        if len(self.rows) > 1:
             h, w = shape
             buffer = mmap.mmap(-1, 3 * h * w * 8)
             # Source, target and output maps, seen by the parent and every worker.
@@ -186,7 +189,6 @@ class _Stripes:
             except BaseException:
                 self.close()
                 raise
-            self.own = self.rows[:1]
 
     def __enter__(self) -> "_Stripes":
         return self
@@ -265,43 +267,38 @@ class _Stripes:
         index = next((i for i, d in enumerate(self.descs) if d is desc), None)
         if index is None:
             raise InvalidInputError("description is not one of this refine's views")
+        if len(self.workers) != len(self.rows) - 1:
+            raise DepthPocsError("stripe context is closed: its workers have ended")
         try:
-            return self._run(index, src, cur, src_cam, dst_cam, options)
+            out = np.empty_like(cur)
+            if self.workers:
+                self.shared[0] = src
+                self.shared[1] = cur
+                message = pickle.dumps((index, src_cam, dst_cam, options))
+                for worker in self.workers:
+                    try:
+                        worker.commands.write(message)
+                        worker.commands.flush()
+                    except BrokenPipeError:
+                        raise DepthPocsError("stripe worker exited early") from None
+            n_out = self._stripe(index, src, cur, out, src_cam, dst_cam, options, self.rows[0])
+            for worker in self.workers:
+                try:
+                    count, error = pickle.load(worker.replies)
+                except EOFError:
+                    raise DepthPocsError("stripe worker exited without a reply") from None
+                if error is not None:
+                    raise DepthPocsError(f"stripe worker failed: {error}")
+                a, b = worker.rows
+                out[a:b] = self.shared[2, a:b]
+                n_out += count
+            return out, n_out
         except BaseException:
             self.close()
             raise
 
-    def _run(self, index, src, cur, src_cam, dst_cam, options) -> tuple[np.ndarray, int]:
-        out = np.empty_like(cur)
-        if self.workers:
-            lo = max(0, self.workers[0].rows[0] - options.radius)
-            self.shared[0, lo:] = src[lo:]
-            self.shared[1, lo:] = cur[lo:]
-            message = pickle.dumps((index, src_cam, dst_cam, options))
-            for worker in self.workers:
-                try:
-                    worker.commands.write(message)
-                    worker.commands.flush()
-                except BrokenPipeError:
-                    raise DepthPocsError("stripe worker exited early") from None
-        n_out = sum(
-            self._stripe(index, src, cur, out, src_cam, dst_cam, options, rows)
-            for rows in self.own
-        )
-        for worker in self.workers:
-            try:
-                count, error = pickle.load(worker.replies)
-            except EOFError:
-                raise DepthPocsError("stripe worker exited without a reply") from None
-            if error is not None:
-                raise DepthPocsError(f"stripe worker failed: {error}")
-            a, b = worker.rows
-            out[a:b] = self.shared[2, a:b]
-            n_out += count
-        return out, n_out
-
     def close(self) -> None:
-        """End and reap every worker; the parent then computes every stripe."""
+        """End and reap every worker; a context with more than one stripe cannot run again."""
         workers, self.workers = self.workers, []
         for worker in workers:
             for pipe in (worker.commands, worker.replies):
@@ -309,7 +306,6 @@ class _Stripes:
                     pipe.close()
         for worker in workers:
             os.waitpid(worker.pid, 0)
-        self.own = self.rows
 
 
 def half_iteration(
@@ -399,7 +395,7 @@ def refine(
     order = ("right", "left") if opts.start == "left" else ("left", "right")
     count = _stripe_count(*left.shape, opts.max_iters)
 
-    with _Stripes((left_desc, right_desc), left.shape, count, fork=True) as stripes:
+    with _Stripes((left_desc, right_desc), left.shape, count) as stripes:
         for it in range(1, opts.max_iters + 1):
             changes = []
             for view in order:

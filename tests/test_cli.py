@@ -162,7 +162,7 @@ class TestLoadConfig:
         )
         cfg = load_config(p)
         assert cfg.cameras is not None
-        assert cfg.cameras.baseline == 4.0
+        assert cfg.cameras.right.t[0] - cfg.cameras.left.t[0] == 4.0
 
 
 class TestRunVerb:
@@ -226,15 +226,18 @@ class TestRunVerb:
             "tau = -1",
             "tau = inf",
             "tau = nan",
+            "eps = nan",
         ],
     )
     def test_bad_filter_option_fails_before_artifacts(self, tmp_path, capsys, option):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(SMALL_SCENE + option + "\n")
+        # SMALL_SCENE sets eps; drop it so that the eps case is not a duplicate key.
+        cfg.write_text(SMALL_SCENE.replace("eps = 0.01\n", "") + option + "\n")
         out = tmp_path / "out"
         assert main(["run", str(cfg), "-o", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and option.split()[0] in err
 
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -446,6 +449,19 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "ref").exists()
+
+    @pytest.mark.parametrize("odd", ["--left", "--ref-right"])
+    def test_evaluate_shape_mismatch_is_2(self, tmp_path, capsys, odd):
+        paths = {}
+        for flag in ("--left", "--right", "--ref-left", "--ref-right"):
+            paths[flag] = tmp_path / f"{flag[2:]}.pgm"
+            write_pgm(paths[flag], np.full((16, 24) if flag == odd else (16, 16), 90.0))
+        argv = ["evaluate", "-o", str(tmp_path / "err")]
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "err").exists()
 
     def test_io_failure_is_3(self, tmp_path, capsys):
         assert main(["decode", str(tmp_path / "missing.qdm"), "-o", str(tmp_path / "o.pgm")]) == 3

@@ -142,7 +142,7 @@ class TestRectifiedPair:
             left = CameraParams(k, np.hstack([rot, np.array([[tx], [ty], [0.0]])]))
             right = CameraParams(k, np.hstack([rot, np.array([[tx + b], [ty], [0.0]])]))
             pair = RectifiedPair(left, right)
-            assert pair.baseline == pytest.approx(b)
+            assert pair.right.t[0] - pair.left.t[0] == pytest.approx(b)
             r = rng.uniform(0.0, 512.0)
             c = rng.uniform(0.0, 512.0)
             d = rng.uniform(1.0, 255.0)
@@ -176,7 +176,8 @@ class TestRectifiedPair:
         a = simple_camera(100.0, 5.0, 5.0, 0.0)
         b = simple_camera(100.0, 5.0, 5.0, -7.5)
         assert is_rectified(a, b)
-        assert RectifiedPair(a, b).baseline == -7.5
+        pair = RectifiedPair(a, b)
+        assert pair.right.t[0] - pair.left.t[0] == -7.5
 
 
 class TestCameraValidation:

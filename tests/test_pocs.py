@@ -239,6 +239,9 @@ class TestRefine:
             RefineOptions(eps=-1.0)
         with pytest.raises(InvalidParameterError):
             RefineOptions(start="middle")
+        for bad in ({"max_iters": 2.5}, {"max_iters": True}, {"eps": float("nan")}):
+            with pytest.raises(InvalidParameterError):
+                RefineOptions(**bad)
 
     @pytest.mark.parametrize(
         "bad",
@@ -303,10 +306,9 @@ class TestStripes:
         w=st.integers(1, 24),
         radius=st.integers(0, 5),
         count=st.integers(1, 4),
-        fork=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_striped_equals_one_stripe_bitwise(self, h, w, radius, count, fork, seed):
+    def test_striped_equals_one_stripe_bitwise(self, h, w, radius, count, seed):
         rng = np.random.default_rng(seed)
         # A shared tilt of the optical axis makes the scale grid depend on
         # the absolute row, which a stripe must therefore know.
@@ -327,8 +329,8 @@ class TestStripes:
         maps = [rng.uniform(30, 250, (h, w)) for _ in range(4)]
         maps[0][rng.random((h, w)) < 0.1] = 0.0  # pixels the warp skips
         opts = RefineOptions(radius=radius, sigma_r=rng.uniform(1, 40))
-        with pocs._Stripes((desc,), (h, w), count, fork=fork) as stripes:
-            assert len(stripes.workers) == (len(stripes.rows) - 1 if fork else 0)
+        with pocs._Stripes((desc,), (h, w), count) as stripes:
+            assert len(stripes.workers) == len(stripes.rows) - 1
             # Two calls on one context: each must use its own arguments.
             for src, cur in (maps[:2], maps[2:]):
                 want, want_stats = half_iteration(src, src_cam, dst_cam, desc, cur, opts)
@@ -346,6 +348,17 @@ class TestStripes:
                     gen.right, cams.right, cams.left, dl, gen.left, RefineOptions(),
                     stripes=stripes,
                 )
+
+    def test_closed_context_refuses_to_run(self):
+        gen, dl, dr = coded_pair(16, 24)
+        cams = gen.cameras
+        with pocs._Stripes((dr,), gen.left.shape, 2) as stripes:
+            assert len(stripes.workers) == 1
+        assert stripes.workers == [] and no_child_left()
+        with pytest.raises(DepthPocsError, match="closed"):
+            half_iteration(
+                gen.left, cams.left, cams.right, dr, gen.right, RefineOptions(), stripes=stripes
+            )
 
     @pytest.mark.parametrize("height", [1, 8, 9, 64, 65, 80])
     @pytest.mark.parametrize("count", [1, 2, 3, 4])

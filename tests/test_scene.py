@@ -129,7 +129,7 @@ class TestSclight:
         gen = generate_scene(spec)
         pair = gen.cameras
         assert is_rectified(pair.left, pair.right)
-        assert pair.baseline == spec.baseline
+        assert pair.right.t[0] - pair.left.t[0] == spec.baseline
         assert pair.left.k[0, 0] == spec.focal
         assert pair.left.t[0] == 0.0 and pair.right.t[0] == spec.baseline
 
