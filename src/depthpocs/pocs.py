@@ -20,6 +20,12 @@ one stripe per CPU it may use and forks a worker for every stripe after the
 first, once for the whole loop (see _Stripes). Every output sample is
 computed by the same operations in the same order as in a single stripe,
 so the result does not depend on the number of stripes, bit for bit.
+
+Each stripe process owns one workspace (see _common.Workspace) for its
+stripe's scratch arrays: the parent makes its own after forking the
+workers, and each worker makes its own when it starts serving, so neither
+pays copy-on-write faults on the other's pages. Every half-iteration after
+the first reuses it, down to the scale grid's camera-only denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from ._common import as_map, require_same_shape
+from ._common import Workspace, as_map, require_same_shape
 from .codec import (
     BLOCK,
     BinConstraints,
@@ -52,7 +58,7 @@ from .codec import (
 from .errors import DepthPocsError, InvalidInputError, InvalidParameterError, NumericalError
 from .geometry import CameraParams, require_rectified
 from .metrics import psnr
-from .warp import project_view
+from .warp import check_sigma, project_view
 
 
 @dataclass
@@ -82,10 +88,8 @@ class RefineOptions:
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
         if self.radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
-        if not (self.sigma_s > 0 and self.sigma_r > 0):
-            raise InvalidParameterError(
-                f"sigmas must be positive, got sigma_s={self.sigma_s} sigma_r={self.sigma_r}"
-            )
+        check_sigma("sigma_s", self.sigma_s)
+        check_sigma("sigma_r", self.sigma_r)
         if not (0 <= self.tau < math.inf):
             raise InvalidParameterError(f"tau must be finite and >= 0, got {self.tau}")
 
@@ -170,7 +174,8 @@ class _Stripes:
     through anonymous shared memory mapped before the fork, so only
     project_view knows which rows a stripe reads. Pipes carry the other
     arguments of each half-iteration to the workers and their clip counts
-    back. Leaving the context ends the workers.
+    back. Leaving the context ends the workers. The parent's workspace is
+    made after the workers are forked.
     """
 
     def __init__(self, descs, shape: tuple[int, int], count: int = 1):
@@ -189,6 +194,7 @@ class _Stripes:
             except BaseException:
                 self.close()
                 raise
+        self.workspace = Workspace()
 
     def __enter__(self) -> "_Stripes":
         return self
@@ -225,13 +231,16 @@ class _Stripes:
     def _serve(self, commands: BinaryIO, replies: BinaryIO, rows: tuple[int, int]) -> None:
         """Worker loop: one stripe per command until the parent closes the pipe."""
         src, cur, out = self.shared
+        workspace = Workspace()
         while True:
             try:
                 index, src_cam, dst_cam, options = pickle.load(commands)
             except EOFError:
                 return
             try:
-                reply = self._stripe(index, src, cur, out, src_cam, dst_cam, options, rows), None
+                reply = self._stripe(
+                    index, src, cur, out, src_cam, dst_cam, options, rows, workspace
+                ), None
             except Exception as exc:  # reported to the parent, which raises it
                 reply = 0, f"{type(exc).__name__}: {exc}"
             pickle.dump(reply, replies)
@@ -239,24 +248,30 @@ class _Stripes:
             if reply[1] is not None:
                 return
 
-    def _stripe(self, index, src, cur, out, src_cam, dst_cam, options, rows) -> int:
-        """Write rows [a, b) of the half-iteration's output into out; return its clip count."""
+    def _stripe(self, index, src, cur, out, src_cam, dst_cam, options, rows, ws) -> int:
+        """Write rows [a, b) of the half-iteration's output into out; return its clip count.
+
+        Every intermediate array comes from the process's workspace ws.
+        """
         a, b = rows
         desc, bounds = self.descs[index], self.bounds[index]
-        warped = project_view(
-            src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
-            sigma_r=options.sigma_r, radius=options.radius, rows=rows,
-        )
-        padded = pad_to_blocks(warped)
-        coeffs = dct_blocks(split_blocks(padded))
-        first = a // BLOCK * (desc.width // BLOCK)
-        mine = slice(first, first + len(coeffs))
-        lo, hi = bounds.lo[mine], bounds.hi[mine]
-        n_out = int(np.count_nonzero((coeffs < lo) | (coeffs > hi)))
-        clipped = clip_to_bins(coeffs, BinConstraints(lo, hi))
-        rebuilt = merge_blocks(idct_blocks(clipped), *padded.shape)
-        out[a:b] = rebuilt[: b - a, : desc.orig_width]
-        return n_out
+        with ws.frame():
+            warped = project_view(
+                src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
+                sigma_r=options.sigma_r, radius=options.radius, rows=rows, workspace=ws,
+            )
+            padded = pad_to_blocks(warped, workspace=ws)
+            coeffs = dct_blocks(split_blocks(padded, workspace=ws), workspace=ws)
+            first = a // BLOCK * (desc.width // BLOCK)
+            mine = slice(first, first + len(coeffs))
+            clipped = clip_to_bins(
+                coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]), workspace=ws
+            )
+            # A coefficient moves exactly when it lies outside its bin.
+            moved = np.not_equal(clipped, coeffs, out=ws.take(coeffs.shape, bool))
+            rebuilt = merge_blocks(idct_blocks(clipped, workspace=ws), *padded.shape, workspace=ws)
+            out[a:b] = rebuilt[: b - a, : desc.orig_width]
+            return int(np.count_nonzero(moved))
 
     def run(self, desc, src, cur, src_cam, dst_cam, options) -> tuple[np.ndarray, int]:
         """The half-iteration's output map and its clip count, from every stripe.
@@ -281,7 +296,9 @@ class _Stripes:
                         worker.commands.flush()
                     except BrokenPipeError:
                         raise DepthPocsError("stripe worker exited early") from None
-            n_out = self._stripe(index, src, cur, out, src_cam, dst_cam, options, self.rows[0])
+            n_out = self._stripe(
+                index, src, cur, out, src_cam, dst_cam, options, self.rows[0], self.workspace
+            )
             for worker in self.workers:
                 try:
                     count, error = pickle.load(worker.replies)
@@ -337,8 +354,11 @@ def half_iteration(
     if stripes is None:
         stripes = _Stripes((dst_desc,), cur.shape)
     out, n_out = stripes.run(dst_desc, s, cur, src_cam, dst_cam, options)
+    with stripes.workspace.frame():
+        change = np.subtract(out, cur, out=stripes.workspace.take(cur.shape))
+        mean_change = float(np.mean(np.abs(change, out=change)))
     stats = HalfIterationStats(
-        mean_change=float(np.mean(np.abs(out - cur))),
+        mean_change=mean_change,
         clip_fraction=n_out / (dst_desc.n_blocks * BLOCK * BLOCK),
     )
     return out, stats
@@ -396,6 +416,8 @@ def refine(
     count = _stripe_count(*left.shape, opts.max_iters)
 
     with _Stripes((left_desc, right_desc), left.shape, count) as stripes:
+        workspace = stripes.workspace
+        scores: dict[str, float] = {}  # each view's PSNR after its last update
         for it in range(1, opts.max_iters + 1):
             changes = []
             for view in order:
@@ -410,8 +432,13 @@ def refine(
                 _sanity_bound((left, right), limit_lo, limit_hi, f"iteration {it} ({view})")
                 entry = ReportEntry(it, view, stats.mean_change, stats.clip_fraction)
                 if truth_l is not None:
-                    entry.psnr_left = psnr(left, truth_l, round_to_int=opts.round_metrics)
-                    entry.psnr_right = psnr(right, truth_r, round_to_int=opts.round_metrics)
+                    # Only the updated view changed; the other keeps its PSNR.
+                    for name, m, truth in (("left", left, truth_l), ("right", right, truth_r)):
+                        if name == view or name not in scores:
+                            scores[name] = psnr(
+                                m, truth, round_to_int=opts.round_metrics, workspace=workspace
+                            )
+                    entry.psnr_left, entry.psnr_right = scores["left"], scores["right"]
                     entry.g = (entry.psnr_left + entry.psnr_right) / 2.0
                     if opts.keep_best and (report.best_g is None or entry.g > report.best_g):
                         report.best_g = entry.g

@@ -18,6 +18,13 @@ project_view(rows=(a, b)) computes output rows [a, b) of a stripe of the
 map from source and target rows [a - radius, b + radius) alone, clipped
 to the map; windows are still truncated at the map's borders only. The
 rows come out bit for bit as in the whole projection.
+
+Every function takes an optional workspace (see _common.Workspace) for its
+scratch arrays and its result. The workspace belongs to the process that
+passes it: pocs gives each stripe process its own, made after the fork,
+and reuses it for every half-iteration, so that the scratch arrays of a
+warm half-iteration need no fresh pages. A result taken from a workspace is valid until the
+caller's frame ends. Without one, every array is new.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 
 import numpy as np
 
-from ._common import as_map, require_same_shape
+from ._common import FRESH, Workspace, as_map, require_same_shape
 from .errors import InvalidParameterError
 from .geometry import CameraParams, projective_scale_grid, require_rectified
 
@@ -36,8 +43,25 @@ from .geometry import CameraParams, projective_scale_grid, require_rectified
 _BAND_ROWS = 32
 
 
+def check_sigma(name: str, value: float) -> None:
+    """Raise unless value is a usable kernel sigma: positive, with a finite 1/(2 value^2)."""
+    try:
+        usable = value > 0 and math.isfinite(1.0 / (2.0 * float(value) * float(value)))
+    except ZeroDivisionError:  # 2 value^2 underflows to zero
+        usable = False
+    if not usable:
+        raise InvalidParameterError(
+            f"{name} must be positive with a finite 1/(2 {name}^2), got {value}"
+        )
+
+
 def forward_warp(
-    src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0
+    src,
+    src_cam: CameraParams,
+    dst_cam: CameraParams,
+    row0: int = 0,
+    *,
+    workspace: Workspace = FRESH,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Warp every positive-depth source pixel into the target view.
 
@@ -51,46 +75,79 @@ def forward_warp(
     """
     require_rectified(src_cam, dst_cam)
     m = as_map(src, "source map")
-    w = m.shape[1]
-    scale = projective_scale_grid(src_cam, m, row0)
+    h, w = m.shape
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
-    cols = np.arange(w, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dst_cols = cols[np.newaxis, :] + shift / scale
-        # Landing columns are kept in 1/256-pixel fixed point. Surfaces whose
-        # disparity is a whole number of columns must land exactly on grid
-        # columns; tiny depth perturbations (filter tails, transform
-        # round-off) would otherwise flip their interval membership at depth
-        # edges and the interpolation would pick across the edge.
-        dst_cols = np.round(dst_cols * 256.0) / 256.0
-    valid = (
-        (m > 0)
-        & np.isfinite(scale)
-        & (scale > 0)
-        & (dst_cols >= -1.0)
-        & (dst_cols <= float(w))
-    )
-    rows, src_cols = np.nonzero(valid)
-    return rows, dst_cols[valid], m[valid], src_cols
+    # Room for a sample per pixel; the kept samples fill the front.
+    room = [workspace.take(h * w, dtype) for dtype in (np.intp, np.float64, np.float64, np.intp)]
+    with workspace.frame():
+        scale = projective_scale_grid(src_cam, m, row0, workspace=workspace)
+        dst_cols = workspace.take((h, w))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(shift, scale, out=dst_cols)
+            np.add(dst_cols, np.arange(w, dtype=np.float64), out=dst_cols)
+            # Landing columns are kept in 1/256-pixel fixed point. Surfaces
+            # whose disparity is a whole number of columns must land exactly
+            # on grid columns; tiny depth perturbations (filter tails,
+            # transform round-off) would otherwise flip their interval
+            # membership at depth edges and the interpolation would pick
+            # across the edge.
+            np.multiply(dst_cols, 256.0, out=dst_cols)
+            np.round(dst_cols, out=dst_cols)
+            np.divide(dst_cols, 256.0, out=dst_cols)
+        valid = np.greater(m, 0.0, out=workspace.take((h, w), bool))
+        test = workspace.take((h, w), bool)
+        valid &= np.isfinite(scale, out=test)
+        valid &= np.greater(scale, 0.0, out=test)
+        valid &= np.greater_equal(dst_cols, -1.0, out=test)
+        valid &= np.less_equal(dst_cols, float(w), out=test)
+        # The one array made afresh: the flat index of every kept pixel.
+        # Every index is in range, so mode="clip" only skips the check.
+        index = np.flatnonzero(valid)
+        rows, cols, depths, src_cols = (a[: index.size] for a in room)
+        np.divmod(index, w, out=(rows, src_cols))
+        np.take(dst_cols.ravel(), index, out=cols, mode="clip")
+        np.take(m.ravel(), index, out=depths, mode="clip")
+    return rows, cols, depths, src_cols
 
 
-def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
+def _target_pixels(rows, cols, side, w: int, n: int, ws: Workspace) -> np.ndarray:
+    """Each sample's target pixel row * w + side(col), or n where that is off the grid."""
+    tgt = ws.take(cols.size, np.intp)
+    with ws.frame():
+        column = side(cols, out=ws.take(cols.size))
+        np.copyto(tgt, column, casting="unsafe")
+        tgt += np.multiply(rows, w, out=ws.take(rows.size, np.intp))
+        off = ws.take(cols.size, bool)
+        np.copyto(tgt, n, where=np.less(column, 0.0, out=off))
+        np.copyto(tgt, n, where=np.greater_equal(column, w, out=off))
+    return tgt
+
+
+def _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, ws: Workspace) -> None:
     """Each target pixel's pick among the samples that serve it from one side.
 
-    Preference is lexicographic: the depth lies within tau of the current
-    target value, then smallest depth, then smallest source column. A
-    pixel served by exactly one sample takes it directly; only the groups
-    of two or more are sorted. Returns the picked depth and column per
-    pixel, NaN where no sample serves it.
+    tgt holds each sample's target pixel, or n (the pixel count) for a
+    sample that serves none. Preference is lexicographic: the depth lies
+    within tau of the current target value, then smallest depth, then
+    smallest source column. Every sample is written to its target, in any
+    order, so a pixel served by exactly one sample takes it directly; only
+    the groups of two or more are sorted, and their winners written over. picks is
+    (depth, column), n + 1 entries each, filled here: NaN where no sample
+    serves, and entry n takes the samples that serve no pixel.
     """
     n = flat_current.size
-    pick_d = np.full(n, np.nan)
-    pick_c = np.full(n, np.nan)
-    single = np.bincount(tgt, minlength=n)[tgt] == 1
-    ts = tgt[single]
-    pick_d[ts] = depths[single]
-    pick_c[ts] = cols[single]
-    multi = np.flatnonzero(~single)
+    pick_d, pick_c = picks
+    pick_d.fill(np.nan)
+    pick_c.fill(np.nan)
+    pick_d[tgt] = depths
+    pick_c[tgt] = cols
+    with ws.frame():
+        count = ws.take(n + 1, np.intp)
+        count.fill(0)
+        np.add.at(count, tgt, 1)
+        count[n] = 0  # entry n is no pixel
+        shared = np.take(count, tgt, out=ws.take(tgt.size, np.intp), mode="clip")
+        multi = np.flatnonzero(np.greater(shared, 1, out=ws.take(tgt.size, bool)))
     tm = tgt[multi]
     dm = depths[multi]
     fails = np.abs(dm - flat_current[tm]) > tau
@@ -101,10 +158,16 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     won = multi[order[first]]
     pick_d[tm[first]] = depths[won]
     pick_c[tm[first]] = cols[won]
-    return pick_d, pick_c
 
 
-def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
+def _interpolate_grid(
+    samples,
+    current: np.ndarray,
+    tau: float,
+    *,
+    workspace: Workspace = FRESH,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Edge-adaptive depth at every integer target pixel.
 
     samples are forward_warp's flat arrays. Pixel c picks one sample from
@@ -112,36 +175,58 @@ def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
     blended linearly by horizontal distance; with a single pick its depth
     is returned, and with none the current value is kept. Each sample can
     serve exactly one pixel from the left (target ceil(col)) and one from
-    the right (target floor(col)).
+    the right (target floor(col)). The result is written into out when
+    given.
     """
     rows, cols, depths, src_cols = samples
     h, w = current.shape
+    n = h * w
     flat_current = current.ravel()
-    picked = []
-    for targets in (np.ceil(cols), np.floor(cols)):
-        ok = (targets >= 0) & (targets < w)
-        tgt = rows[ok] * w + targets[ok].astype(np.int64)
-        picked.append(
-            _pick_side(tgt, cols[ok], depths[ok], src_cols[ok], flat_current, tau)
-        )
-    (p1d, p1c), (p2d, p2c) = picked
-    cgrid = np.tile(np.arange(w, dtype=np.float64), h)
-    have1 = ~np.isnan(p1d)
-    have2 = ~np.isnan(p2d)
-    t1 = cgrid - p1c
-    t2 = p2c - cgrid
-    with np.errstate(invalid="ignore", divide="ignore"):
-        blend = np.where(
-            t1 == 0.0, p1d, np.where(t2 == 0.0, p2d, (p1d * t2 + p2d * t1) / (t1 + t2))
-        )
-    out = np.where(
-        have1 & have2, blend, np.where(have1, p1d, np.where(have2, p2d, flat_current))
-    )
-    return out.reshape(h, w)
+    if out is None:
+        out = workspace.take((h, w))
+    with workspace.frame():
+        picked = []
+        for side in (np.ceil, np.floor):
+            picks = workspace.take(n + 1), workspace.take(n + 1)
+            with workspace.frame():
+                tgt = _target_pixels(rows, cols, side, w, n, workspace)
+                _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, workspace)
+            picked.append((picks[0][:n], picks[1][:n]))
+        (p1d, t1), (p2d, t2) = picked
+        # Distances to the picks, on the rows of the grid and in place of
+        # the pick columns: t1 = column - left pick, t2 = right pick - column.
+        grid = np.arange(w, dtype=np.float64)
+        np.subtract(grid, t1.reshape(h, w), out=t1.reshape(h, w))
+        np.subtract(t2.reshape(h, w), grid, out=t2.reshape(h, w))
+        blend = workspace.take(n)
+        part = workspace.take(n)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.multiply(p1d, t2, out=blend)
+            np.add(blend, np.multiply(p2d, t1, out=part), out=blend)
+            np.divide(blend, np.add(t1, t2, out=part), out=blend)
+        mask = workspace.take(n, bool)
+        np.copyto(blend, p2d, where=np.equal(t2, 0.0, out=mask))
+        np.copyto(blend, p1d, where=np.equal(t1, 0.0, out=mask))
+        # The blend where both picks exist, else the one pick, else current.
+        have1 = np.logical_not(np.isnan(p1d, out=mask), out=mask)
+        have2 = workspace.take(n, bool)
+        np.logical_not(np.isnan(p2d, out=have2), out=have2)
+        flat_out = out.reshape(-1)
+        np.copyto(flat_out, flat_current)
+        np.copyto(flat_out, p2d, where=have2)
+        np.copyto(flat_out, p1d, where=have1)
+        np.copyto(flat_out, blend, where=np.logical_and(have1, have2, out=have1))
+    return out
 
 
 def bilateral_filter(
-    map_, sigma_s: float, sigma_r: float, radius: int, rows: tuple[int, int] | None = None
+    map_,
+    sigma_s: float,
+    sigma_r: float,
+    radius: int,
+    rows: tuple[int, int] | None = None,
+    *,
+    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Edge-preserving smoothing with Gaussian spatial and range kernels.
 
@@ -165,12 +250,12 @@ def bilateral_filter(
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     h, w = m.shape
     a, b = (0, h) if rows is None else rows
+    out = workspace.take((b - a, w))
     if radius == 0:
-        return m[a:b].copy()
-    if sigma_s <= 0 or sigma_r <= 0:
-        raise InvalidParameterError(
-            f"sigmas must be positive, got sigma_s={sigma_s} sigma_r={sigma_r}"
-        )
+        np.copyto(out, m[a:b])
+        return out
+    check_sigma("sigma_s", sigma_s)
+    check_sigma("sigma_r", sigma_r)
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     # Offsets before the center in window order; (-dy, -dx) follow it in
@@ -181,60 +266,57 @@ def bilateral_filter(
         for dx in range(-radius, radius + 1)
         if dy < 0 or dx < 0
     ]
-    # The center offset has zero deviation and weight exp(0) = 1, or NaN
-    # when a sigma is so small that its inverse overflows. Its weighted
-    # deviation is +0.0, which leaves num unchanged.
-    w_center = math.exp(-0 * inv2ss) * np.exp(-(0.0 * 0.0) * inv2sr)
     band = max(1, min(b - a, _BAND_ROWS))
-    # One preallocated buffer holds a band's stored terms, each as a
-    # contiguous array.
-    store = np.empty((len(firsts), 2, (band + radius) * w))
-    num = np.empty(band * w)
-    den = np.empty(band * w)
-    out = np.empty((b - a, w))
-    # Accumulating weighted deviations from the center (instead of weighted
-    # values) keeps flat regions exactly unchanged in floating point.
-    for b0 in range(a, b, band):
-        b1 = min(b, b0 + band)
-        bn = (b1 - b0) * w
-        num_b = num[:bn].reshape(b1 - b0, w)
-        den_b = den[:bn].reshape(b1 - b0, w)
-        num_b.fill(0.0)
-        den_b.fill(0.0)
-        shared = []
-        for k, (dy, dx) in enumerate(firsts):
-            # Pixels p whose neighbor p + (dy, dx) is inside the map, on the
-            # band's rows and on the |dy| rows the mirror offset reads.
-            y0, y1 = max(b0, -dy), min(h, b1 - dy)
-            x0, x1 = max(0, -dx), min(w, w - dx)
-            if y0 >= y1 or x0 >= x1:
-                continue
-            size = (y1 - y0) * (x1 - x0)
-            wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
-            term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
-            np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
-            np.multiply(term, term, out=wgt)
-            wgt *= -inv2sr
-            np.exp(wgt, out=wgt)
-            wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
-            term *= wgt
-            own = min(y1, b1) - y0
-            if own > 0:
-                num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
-                den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
-            shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
-        den_b += w_center
-        for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
-            # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
-            # wgt[p], weighted deviation -term[p].
-            p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
-            if p0 >= p1:
-                continue
-            q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
-            num_b[q] -= term[p0 - y0 : p1 - y0]
-            den_b[q] += wgt[p0 - y0 : p1 - y0]
-        np.divide(num_b, den_b, out=num_b)
-        np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
+    with workspace.frame():
+        # One buffer holds a band's stored terms, each as a contiguous array.
+        store = workspace.take((len(firsts), 2, (band + radius) * w))
+        num = workspace.take(band * w)
+        den = workspace.take(band * w)
+        # Accumulating weighted deviations from the center (instead of
+        # weighted values) keeps flat regions exactly unchanged in floating
+        # point.
+        for b0 in range(a, b, band):
+            b1 = min(b, b0 + band)
+            bn = (b1 - b0) * w
+            num_b = num[:bn].reshape(b1 - b0, w)
+            den_b = den[:bn].reshape(b1 - b0, w)
+            num_b.fill(0.0)
+            den_b.fill(0.0)
+            shared = []
+            for k, (dy, dx) in enumerate(firsts):
+                # Pixels p whose neighbor p + (dy, dx) is inside the map, on
+                # the band's rows and on the |dy| rows the mirror offset reads.
+                y0, y1 = max(b0, -dy), min(h, b1 - dy)
+                x0, x1 = max(0, -dx), min(w, w - dx)
+                if y0 >= y1 or x0 >= x1:
+                    continue
+                size = (y1 - y0) * (x1 - x0)
+                wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
+                term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
+                np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
+                np.multiply(term, term, out=wgt)
+                wgt *= -inv2sr
+                np.exp(wgt, out=wgt)
+                wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
+                term *= wgt
+                own = min(y1, b1) - y0
+                if own > 0:
+                    num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
+                    den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
+                shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
+            # The center offset: weight exp(0) = 1, weighted deviation +0.0.
+            den_b += 1.0
+            for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
+                # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
+                # wgt[p], weighted deviation -term[p].
+                p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
+                if p0 >= p1:
+                    continue
+                q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
+                num_b[q] -= term[p0 - y0 : p1 - y0]
+                den_b[q] += wgt[p0 - y0 : p1 - y0]
+            np.divide(num_b, den_b, out=num_b)
+            np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
     return out
 
 
@@ -249,6 +331,7 @@ def project_view(
     sigma_r: float = 10.0,
     radius: int = 3,
     rows: tuple[int, int] | None = None,
+    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Full view-to-view projection: warp, interpolate, bilateral filter.
 
@@ -264,5 +347,10 @@ def project_view(
     a, b = (0, h) if rows is None else rows
     halo = max(0, int(radius))
     s0, s1 = max(0, a - halo), min(h, b + halo)
-    interp = _interpolate_grid(forward_warp(s[s0:s1], src_cam, dst_cam, s0), cur[s0:s1], tau)
-    return bilateral_filter(interp, sigma_s, sigma_r, radius, (a - s0, b - s0))
+    interp = workspace.take((s1 - s0, s.shape[1]))
+    with workspace.frame():
+        samples = forward_warp(s[s0:s1], src_cam, dst_cam, s0, workspace=workspace)
+        _interpolate_grid(samples, cur[s0:s1], tau, workspace=workspace, out=interp)
+    return bilateral_filter(
+        interp, sigma_s, sigma_r, radius, (a - s0, b - s0), workspace=workspace
+    )

@@ -4,7 +4,9 @@ back_project lifts one pixel with a known depth value to its world point by
 solving the 3x3 linear system in (x, y, s) obtained from
 K^-1 @ (col, row, 1) * s = R @ p + t; project maps a world point back into a
 view. depthpocs.geometry.projective_scale_grid, the vectorized path the warp
-runs, must agree with the scale s of this solve.
+runs, must agree with the scale s of this solve. cramer_scale_grid is the
+direct vectorized Cramer solve that projective_scale_grid replaced with an
+affine map of the depth; with R = I the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -83,3 +85,33 @@ def project(point: WorldPoint, cam) -> tuple[float, float, float]:
     if h[2] <= 0:
         raise BehindCameraError(f"point {tuple(p)} projects behind the camera")
     return float(h[1] / h[2]), float(h[0] / h[2]), float(point.d)
+
+
+def cramer_scale_grid(cam, depth: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Scale s of every pixel by Cramer's rule on the 3x3 system, one expression per term."""
+    h, w = depth.shape
+    k = cam.k
+    r = cam.r
+    t = cam.t
+    rows = np.arange(row0, row0 + h, dtype=np.float64).reshape(-1, 1)
+    cols = np.arange(w, dtype=np.float64).reshape(1, -1)
+    my = (rows - k[1, 2]) / k[1, 1]
+    mx = (cols - k[0, 1] * my - k[0, 2]) / k[0, 0]
+
+    minor = r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0]
+    det = (
+        r[0, 0] * (-r[1, 1] + my * r[2, 1])
+        - r[0, 1] * (-r[1, 0] + my * r[2, 0])
+        - mx * minor
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b0 = -(r[0, 2] * depth + t[0])
+        b1 = -(r[1, 2] * depth + t[1])
+        b2 = -(r[2, 2] * depth + t[2])
+        det_s = (
+            r[0, 0] * (r[1, 1] * b2 - b1 * r[2, 1])
+            - r[0, 1] * (r[1, 0] * b2 - b1 * r[2, 0])
+            + b0 * minor
+        )
+        s = det_s / det
+    return np.where(depth > 0, s, np.nan)

@@ -223,6 +223,9 @@ class TestRunVerb:
             "radius = 2.7",
             "sigma_s = 0",
             "sigma_r = -1",
+            "sigma_s = 1e-200",
+            "sigma_r = 1e-170",
+            "sigma_r = 1e-160",
             "tau = -1",
             "tau = inf",
             "tau = nan",

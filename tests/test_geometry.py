@@ -1,12 +1,15 @@
 """Camera model tests: the scalar back-projection and projection oracle
 (round trips, the disparity law), rectified-pair validation and the
-vectorized scale grid against the oracle."""
+vectorized scale grid against the oracles."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depthpocs._common import FRESH, Workspace
 from depthpocs.errors import InvalidConfigurationError, InvalidInputError
 from depthpocs.geometry import (
     CameraParams,
@@ -20,6 +23,7 @@ from geometry_oracle import (
     NoSolutionError,
     WorldPoint,
     back_project,
+    cramer_scale_grid,
     project,
 )
 
@@ -221,6 +225,50 @@ class TestScaleGrid:
             p = back_project(r, c, depth[r, c], cam)
             s = float((cam.r @ [p.x, p.y, p.d] + cam.t)[2])
             assert grid[r, c] == pytest.approx(s, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 40),
+        w=st.integers(1, 40),
+        row0=st.integers(0, 500),
+        tilt=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_affine_form_matches_cramer(self, h, w, row0, tilt, seed):
+        # Bit for bit on unrotated rigs (every bundled and benchmark rig);
+        # within A5's relative 1e-9 on tilted ones. A workspace caches the
+        # denominator, so its second call reads the cached one.
+        rng = np.random.default_rng(seed)
+        k = np.array(
+            [
+                [rng.uniform(50, 500), rng.uniform(-2, 2), rng.uniform(-50, 550)],
+                [0.0, rng.uniform(50, 500), rng.uniform(-50, 550)],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+        rot = small_rotation(rng) if tilt else np.eye(3)
+        cam = CameraParams(k, np.hstack([rot, rng.uniform(-30, 30, (3, 1))]))
+        depth = rng.uniform(0.5, 255.0, (h, w))
+        depth[rng.random((h, w)) < 0.1] = 0.0
+        depth[rng.random((h, w)) < 0.05] *= -1.0
+        # One workspace serves another slab start and another K after the
+        # first call: neither may read the first call's cached denominator.
+        other = CameraParams(k * [[1.01], [1.0], [1.0]], cam.e)
+        workspace = Workspace()
+        for camera, start, ws in (
+            (cam, row0, FRESH),
+            (cam, row0, workspace),
+            (cam, row0, workspace),
+            (cam, row0 + 1, workspace),
+            (other, row0, workspace),
+        ):
+            got = projective_scale_grid(camera, depth, start, workspace=ws)
+            want = cramer_scale_grid(camera, depth, start)
+            assert np.array_equal(np.isnan(got), depth <= 0)
+            if tilt:
+                assert np.allclose(got, want, rtol=1e-9, atol=0.0, equal_nan=True)
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
 
     def test_nonpositive_depth_is_nan(self):
         cam = simple_camera(100.0, 10.0, 10.0)

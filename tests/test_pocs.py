@@ -23,7 +23,7 @@ from depthpocs.codec import (
     pad_to_blocks,
     split_blocks,
 )
-from depthpocs import pocs
+from depthpocs import pocs, warp
 from depthpocs.errors import (
     DepthPocsError,
     InvalidConfigurationError,
@@ -31,6 +31,7 @@ from depthpocs.errors import (
     InvalidParameterError,
 )
 from depthpocs.geometry import CameraParams, simple_camera
+from depthpocs.metrics import psnr
 from depthpocs.pocs import (
     RefineOptions,
     _sanity_bound,
@@ -179,17 +180,29 @@ class TestRefine:
             assert e.mean_change >= 0.0
             assert e.psnr_left is None  # no ground truth supplied
 
-    def test_trace_recorded_with_truth(self):
+    def test_trace_recorded_with_truth(self, monkeypatch):
         gen = generate_scene(small_scene())
         table = flat_table(24.0)
         dl, dr = encode_map(gen.left, table), encode_map(gen.right, table)
-        opts = RefineOptions(max_iters=3)
-        _, _, report = refine(
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return psnr(*args, **kwargs)
+
+        monkeypatch.setattr(pocs, "psnr", counted)
+        opts = RefineOptions(max_iters=3, round_metrics=True)
+        left, right, report = refine(
             dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right)
         )
         for e in report.entries:
             assert e.psnr_left is not None and e.psnr_right is not None
             assert e.g == pytest.approx((e.psnr_left + e.psnr_right) / 2.0)
+        # One PSNR per half-iteration, of the view it updated, and the other
+        # view's once at the start; the carried values are the final maps'.
+        assert len(calls) == len(report.entries) + 1
+        assert report.entries[-1].psnr_left == psnr(left, gen.left, round_to_int=True)
+        assert report.entries[-1].psnr_right == psnr(right, gen.right, round_to_int=True)
 
     def test_keep_best_tracks_peak(self):
         gen = generate_scene(small_scene())
@@ -252,6 +265,11 @@ class TestRefine:
             {"sigma_s": 0.0},
             {"sigma_r": -1.0},
             {"sigma_r": float("nan")},
+            # 1 / (2 sigma^2) must be finite: 2 sigma^2 underflows to zero,
+            # or its inverse overflows.
+            {"sigma_s": 1e-200},
+            {"sigma_r": 1e-170},
+            {"sigma_r": 1e-160},
             {"tau": -0.5},
             {"tau": float("inf")},
             {"tau": float("nan")},
@@ -295,6 +313,27 @@ def refine_with_stripes(monkeypatch, count, gen, dl, dr, opts):
         return refine(dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right))
 
 
+def tilted_pair(rng, h, w):
+    """A rectified pair whose shared tilt of the optical axis makes the scale
+    grid depend on the absolute row, which a stripe must therefore know."""
+    th = rng.uniform(-0.3, 0.3)
+    c, s = math.cos(th), math.sin(th)
+    rot = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
+    k = np.array(
+        [[rng.uniform(40, 150), 0, rng.uniform(0, w)], [0, 90.0, rng.uniform(0, h)], [0, 0, 1]]
+    )
+    tx = rng.uniform(-6, 6)
+    src_cam = CameraParams(k, np.hstack([rot, [[0.0], [1.0], [0.0]]]))
+    dst_cam = CameraParams(k, np.hstack([rot, [[tx], [1.0], [0.0]]]))
+    return src_cam, dst_cam
+
+
+def random_table(rng):
+    if rng.random() < 0.5:
+        return jpeg_table(int(rng.integers(1, 101)))
+    return flat_table(rng.uniform(2, 40))
+
+
 class TestStripes:
     @settings(
         max_examples=80,
@@ -310,22 +349,8 @@ class TestStripes:
     )
     def test_striped_equals_one_stripe_bitwise(self, h, w, radius, count, seed):
         rng = np.random.default_rng(seed)
-        # A shared tilt of the optical axis makes the scale grid depend on
-        # the absolute row, which a stripe must therefore know.
-        th = rng.uniform(-0.3, 0.3)
-        c, s = math.cos(th), math.sin(th)
-        rot = np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
-        k = np.array(
-            [[rng.uniform(40, 150), 0, rng.uniform(0, w)], [0, 90.0, rng.uniform(0, h)], [0, 0, 1]]
-        )
-        tx = rng.uniform(-6, 6)
-        src_cam = CameraParams(k, np.hstack([rot, [[0.0], [1.0], [0.0]]]))
-        dst_cam = CameraParams(k, np.hstack([rot, [[tx], [1.0], [0.0]]]))
-        if rng.random() < 0.5:
-            table = jpeg_table(int(rng.integers(1, 101)))
-        else:
-            table = flat_table(rng.uniform(2, 40))
-        desc = encode_map(rng.uniform(30, 250, (h, w)), table)
+        src_cam, dst_cam = tilted_pair(rng, h, w)
+        desc = encode_map(rng.uniform(30, 250, (h, w)), random_table(rng))
         maps = [rng.uniform(30, 250, (h, w)) for _ in range(4)]
         maps[0][rng.random((h, w)) < 0.1] = 0.0  # pixels the warp skips
         opts = RefineOptions(radius=radius, sigma_r=rng.uniform(1, 40))
@@ -337,6 +362,49 @@ class TestStripes:
                 got, stats = half_iteration(src, src_cam, dst_cam, desc, cur, opts, stripes=stripes)
                 assert np.array_equal(got, want)
                 assert stats == want_stats
+        assert no_child_left()
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        h=st.integers(1, 80),
+        w=st.integers(1, 24),
+        radii=st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True),
+        band=st.integers(1, 12),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reused_workspace_leaks_nothing(self, monkeypatch, h, w, radii, band, count, seed):
+        # Every stripe process reuses its workspace, and the scale grid's
+        # cached denominator, from call to call. Input B after input A, with
+        # another radius, other cameras and options, and filter bands of
+        # `band` rows (so that the last band of a stripe is often short),
+        # must give what a fresh context gives for B, bit for bit.
+        monkeypatch.setattr(warp, "_BAND_ROWS", band)
+        rng = np.random.default_rng(seed)
+        desc = encode_map(rng.uniform(30, 250, (h, w)), random_table(rng))
+        inputs = []
+        for radius in radii:
+            src, cur = rng.uniform(30, 250, (2, h, w))
+            src[rng.random((h, w)) < 0.1] = 0.0
+            opts = RefineOptions(radius=radius, tau=rng.uniform(0, 20), sigma_r=rng.uniform(1, 40))
+            inputs.append((src, *tilted_pair(rng, h, w), desc, cur, opts))
+        results = []
+        with pocs._Stripes((desc,), (h, w), count) as stripes:
+            for args in inputs:
+                src, cur = args[0].copy(), args[4].copy()
+                out, stats = half_iteration(*args, stripes=stripes)
+                # The call neither writes into its inputs nor hands out memory
+                # that a later call writes into.
+                assert np.array_equal(args[0], src) and np.array_equal(args[4], cur)
+                results.append((out, out.copy(), stats))
+        (a_out, a_copy, _), (b_out, _, b_stats) = results
+        assert np.array_equal(a_out, a_copy)
+        want, want_stats = half_iteration(*inputs[1])
+        assert np.array_equal(b_out, want) and b_stats == want_stats
         assert no_child_left()
 
     def test_context_serves_only_its_descriptions(self):

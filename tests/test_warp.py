@@ -323,6 +323,11 @@ class TestBilateral:
             bilateral_filter(m, 0.0, 10.0, 2)
         with pytest.raises(InvalidParameterError):
             bilateral_filter(m, 2.0, -1.0, 2)
+        for tiny in (1e-200, 1e-160):  # 1 / (2 sigma^2) is not finite
+            with pytest.raises(InvalidParameterError):
+                bilateral_filter(m, tiny, 10.0, 2)
+            with pytest.raises(InvalidParameterError):
+                bilateral_filter(m, 2.0, tiny, 2)
         with pytest.raises(InvalidParameterError):
             bilateral_filter(m, 2.0, 10.0, -1)
 
