@@ -41,13 +41,11 @@ from .errors import (
     InvalidConfigurationError,
     InvalidInputError,
     InvalidParameterError,
-    InvalidSceneError,
-    PgmFormatError,
 )
 from .geometry import CameraParams, RectifiedPair, simple_camera
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
-from .pocs import IterationReport, RefineOptions, refine
+from .pocs import IterationReport, RefineOptions, _keep_freed_memory, refine
 from .scene import Box, Plane, SceneSpec, generate_scene
 from .warp import bilateral_filter
 
@@ -272,7 +270,7 @@ def load_config(path) -> RunConfig:
         if sec.get("start") is not None:
             opts_kwargs["start"] = sec.get("start").strip()
     try:
-        options = RefineOptions(round_metrics=True, **opts_kwargs)
+        options = RefineOptions(**opts_kwargs)
     except InvalidParameterError as exc:
         raise ConfigError(f"bad [refine] options: {exc}") from exc
 
@@ -580,20 +578,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        InvalidConfigurationError,
-        InvalidParameterError,
-        InvalidSceneError,
-    ) as exc:
+    except DepthPocsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PgmFormatError, OSError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DepthPocsError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

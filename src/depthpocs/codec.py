@@ -8,10 +8,6 @@ coefficient was quantized into. ``bin_bounds`` materializes those
 intervals and ``clip_to_bins`` is the Euclidean projection onto them,
 which is the constraint-enforcement step of the refinement loop.
 
-The block functions take an optional workspace (see _common.Workspace) for
-their results and scratch arrays, so that the refinement loop's clip maps
-no fresh memory on each pass; without one every array is new.
-
 Conventions: blocks are (8, 8) float64 arrays, row index = vertical
 frequency after the transform, so the row-major flattened position of
 coefficient (u, v) is k = 8*u + v. Step tables share the block shape.
@@ -25,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import FRESH, Workspace, as_map
+from ._common import as_map
 from .errors import CorruptDescriptionError, InvalidInputError
 
 BLOCK = 8
@@ -93,26 +89,18 @@ def _check_table(table) -> np.ndarray:
     return t
 
 
-def _sandwich(left, blocks, right, workspace) -> np.ndarray:
-    """left @ blocks @ right for every block, as that expression computes it."""
-    out = workspace.take(np.shape(blocks))
-    with workspace.frame():
-        np.matmul(np.matmul(left, blocks, out=workspace.take(out.shape)), right, out=out)
-    return out
-
-
-def dct_blocks(blocks: np.ndarray, *, workspace: Workspace = FRESH) -> np.ndarray:
+def dct_blocks(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2D DCT-II of every block of a (n, 8, 8) stack.
 
     The transform preserves the Euclidean norm, so clipping done later in
     coefficient space is also a Euclidean projection in pixel space.
     """
-    return _sandwich(_T, blocks, _TT, workspace)
+    return _T @ blocks @ _TT
 
 
-def idct_blocks(coeffs: np.ndarray, *, workspace: Workspace = FRESH) -> np.ndarray:
+def idct_blocks(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of dct_blocks (the transpose). No output clamping."""
-    return _sandwich(_TT, coeffs, _T, workspace)
+    return _TT @ coeffs @ _T
 
 
 def quantize(coeffs, table) -> np.ndarray:
@@ -147,51 +135,43 @@ def bin_bounds(indices, table) -> BinConstraints:
     return BinConstraints(centers - half, centers + half)
 
 
-def clip_to_bins(
-    coeffs, bounds: BinConstraints, *, workspace: Workspace = FRESH
-) -> np.ndarray:
+def clip_to_bins(coeffs, bounds: BinConstraints) -> np.ndarray:
     """Project coefficients onto their bins (move to the nearest boundary).
 
     Idempotent and non-expansive; the output always satisfies the bin
     constraints exactly.
     """
     c = np.asarray(coeffs, dtype=np.float64)
-    return np.clip(c, bounds.lo, bounds.hi, out=workspace.take(c.shape))
+    return np.clip(c, bounds.lo, bounds.hi)
 
 
-def pad_to_blocks(map_: np.ndarray, *, workspace: Workspace = FRESH) -> np.ndarray:
+def pad_to_blocks(map_: np.ndarray) -> np.ndarray:
     """Edge-replicate a map on the bottom/right to multiples of 8."""
     h, w = map_.shape
-    out = workspace.take((h + (-h) % BLOCK, w + (-w) % BLOCK))
+    out = np.empty((h + (-h) % BLOCK, w + (-w) % BLOCK))
     out[:h, :w] = map_
     out[:h, w:] = map_[:, w - 1 :]
     out[h:] = out[h - 1 : h]
     return out
 
 
-def split_blocks(padded: np.ndarray, *, workspace: Workspace = FRESH) -> np.ndarray:
+def split_blocks(padded: np.ndarray) -> np.ndarray:
     """(H, W) map with 8-multiple dims -> (n, 8, 8) stack, blocks row-major."""
     h, w = padded.shape
-    out = workspace.take(((h // BLOCK) * (w // BLOCK), BLOCK, BLOCK))
-    np.copyto(
-        out.reshape(h // BLOCK, w // BLOCK, BLOCK, BLOCK),
-        padded.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK).swapaxes(1, 2),
+    return (
+        padded.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK)
+        .swapaxes(1, 2)
+        .reshape(-1, BLOCK, BLOCK)
     )
-    return out
 
 
-def merge_blocks(
-    blocks: np.ndarray, height: int, width: int, *, workspace: Workspace = FRESH
-) -> np.ndarray:
+def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     """Inverse of split_blocks."""
     bh = height // BLOCK
     bw = width // BLOCK
-    out = workspace.take((height, width))
-    np.copyto(
-        out.reshape(bh, BLOCK, bw, BLOCK),
-        blocks.reshape(bh, bw, BLOCK, BLOCK).swapaxes(1, 2),
+    return (
+        blocks.reshape(bh, bw, BLOCK, BLOCK).swapaxes(1, 2).reshape(height, width)
     )
-    return out
 
 
 @dataclass

@@ -1,13 +1,16 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from DepthPocsError,
-so callers can catch library failures in one clause. The CLI maps these
-onto process exit codes (see cli.py).
+so callers can catch library failures in one clause. Each class carries
+the process exit code the CLI returns for it: 2 for an invalid
+configuration, 3 for an unreadable file, 4 for every other failure.
 """
 
 
 class DepthPocsError(Exception):
     """Base class for all errors raised by depthpocs."""
+
+    exit_code = 4
 
 
 class InvalidInputError(DepthPocsError, ValueError):
@@ -21,13 +24,19 @@ class CorruptDescriptionError(DepthPocsError, ValueError):
 class InvalidConfigurationError(DepthPocsError, ValueError):
     """Camera setup is invalid or the camera pair is not rectified."""
 
+    exit_code = 2
+
 
 class InvalidParameterError(DepthPocsError, ValueError):
     """A tuning parameter is outside its allowed range."""
 
+    exit_code = 2
+
 
 class InvalidSceneError(DepthPocsError, ValueError):
     """A synthetic scene leaves pixels uncovered or is malformed."""
+
+    exit_code = 2
 
 
 class NumericalError(DepthPocsError, ArithmeticError):
@@ -37,6 +46,10 @@ class NumericalError(DepthPocsError, ArithmeticError):
 class ConfigError(DepthPocsError, ValueError):
     """A run configuration is missing, unreadable, or inconsistent."""
 
+    exit_code = 2
+
 
 class PgmFormatError(DepthPocsError, ValueError):
     """A file does not parse as a binary 8- or 16-bit PGM graymap."""
+
+    exit_code = 3

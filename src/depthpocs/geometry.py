@@ -8,10 +8,7 @@ values between views unchanged.
 
 projective_scale_grid eliminates the unknown world x and y from the 3x3
 linear system in (x, y, s) obtained from K^-1 @ (col, row, 1) * s =
-R @ p + t, where s is the point's distance along the camera axis. Its
-denominator depends only on the camera and the pixel, so a caller that
-solves the same slab again passes a workspace that keeps it (see
-_common.Workspace; each process owns its own).
+R @ p + t, where s is the point's distance along the camera axis.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import FRESH, Workspace
 from .errors import InvalidConfigurationError
 
 _ORTHO_TOL = 1e-9
@@ -109,8 +105,20 @@ def _numerator(r: np.ndarray, v) -> float:
     )
 
 
-def _denominator(cam: CameraParams, row0: int, h: int, w: int) -> np.ndarray:
-    """Cramer's denominator det [R[:, 0], R[:, 1], -m] of every pixel's ray m."""
+def projective_scale_grid(cam: CameraParams, depth: np.ndarray, row0: int = 0) -> np.ndarray:
+    """Per-pixel distance along the camera axis for a depth map.
+
+    Vectorized Cramer solve of the 3x3 system in (x, y, s), keeping only
+    the scale s. The right-hand side -(R[:, 2] * d + t) is linear in the
+    depth d, so the numerator is -(c1 * d + c0), with c1 and c0 the same
+    cofactor expression applied to R[:, 2] and to t, and s is one affine
+    map of d per pixel on a denominator that depends only on K, R and the
+    pixel. With R = I the result equals the direct Cramer solve bit for
+    bit. Pixels with non-positive depth get NaN. depth may be rows row0,
+    row0 + 1, ... of a larger map; each pixel's value depends only on its
+    own row, column and depth.
+    """
+    h, w = depth.shape
     k = cam.k
     r = cam.r
     rows = np.arange(row0, row0 + h, dtype=np.float64).reshape(-1, 1)
@@ -118,41 +126,18 @@ def _denominator(cam: CameraParams, row0: int, h: int, w: int) -> np.ndarray:
     my = (rows - k[1, 2]) / k[1, 1]
     mx = (cols - k[0, 1] * my - k[0, 2]) / k[0, 0]
     minor = r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0]
-    return (
+    # det [R[:, 0], R[:, 1], -m] of every pixel's ray m.
+    det = (
         r[0, 0] * (-r[1, 1] + my * r[2, 1])
         - r[0, 1] * (-r[1, 0] + my * r[2, 0])
         - mx * minor
     )
-
-
-def projective_scale_grid(
-    cam: CameraParams, depth: np.ndarray, row0: int = 0, *, workspace: Workspace = FRESH
-) -> np.ndarray:
-    """Per-pixel distance along the camera axis for a depth map.
-
-    Vectorized Cramer solve of the 3x3 system in (x, y, s), keeping only
-    the scale s. The right-hand side -(R[:, 2] * d + t) is linear in the
-    depth d, so the numerator is -(c1 * d + c0), with c1 and c0 the same
-    cofactor expression applied to R[:, 2] and to t, and s is one affine
-    map of d per pixel. The denominator depends only on K, R and the pixel;
-    a workspace (owned by the calling process, see _common.Workspace)
-    caches it per camera and slab, and the result is taken from it. With
-    R = I the result equals the direct Cramer solve bit for bit. Pixels
-    with non-positive depth get NaN. depth may be rows row0, row0 + 1, ...
-    of a larger map; each pixel's value depends only on its own row,
-    column and depth.
-    """
-    h, w = depth.shape
-    key = ("scale denominator", cam.k.tobytes(), cam.r.tobytes(), row0, h, w)
-    det = workspace.cached(key, lambda: _denominator(cam, row0, h, w))
-    c1 = _numerator(cam.r, cam.r[:, 2])
-    c0 = _numerator(cam.r, cam.t)
-    s = workspace.take((h, w))
+    c1 = _numerator(r, r[:, 2])
+    c0 = _numerator(r, cam.t)
+    s = np.empty((h, w))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         np.multiply(depth, -c1, out=s)
         np.subtract(s, c0, out=s)
         np.divide(s, det, out=s)
-    behind = workspace.take((h, w), bool)
-    np.less_equal(depth, 0.0, out=behind)
-    np.copyto(s, np.nan, where=behind)
+    np.copyto(s, np.nan, where=np.less_equal(depth, 0.0))
     return s

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import FRESH, Workspace, as_map, require_same_shape
+from ._common import as_map, require_same_shape
 
 PEAK = 255.0
 
@@ -22,28 +22,26 @@ class QualityScore:
     g: float
 
 
-def _round8(m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.add(m, 0.5, out=out)
+def _round8(m: np.ndarray) -> np.ndarray:
+    out = np.add(m, 0.5)
     np.floor(out, out=out)
     return np.clip(out, 0.0, 255.0, out=out)
 
 
-def psnr(a, b, *, round_to_int: bool = False, workspace: Workspace = FRESH) -> float:
+def psnr(a, b, *, round_to_int: bool = False) -> float:
     """10*log10(255^2 / MSE) in dB; identical inputs give math.inf.
 
     round_to_int snaps both maps to 8-bit levels first, mimicking a
-    comparison of written 8-bit outputs. The scratch maps come from
-    workspace when one is given (see _common.Workspace).
+    comparison of written 8-bit outputs.
     """
     ma = as_map(a, "a")
     mb = as_map(b, "b")
     require_same_shape(ma, mb, "psnr")
-    with workspace.frame():
-        if round_to_int:
-            ma = _round8(ma, workspace.take(ma.shape))
-            mb = _round8(mb, workspace.take(mb.shape))
-        err = np.subtract(ma, mb, out=workspace.take(ma.shape))
-        mse = float(np.mean(np.multiply(err, err, out=err)))
+    if round_to_int:
+        ma = _round8(ma)
+        mb = _round8(mb)
+    err = np.subtract(ma, mb)
+    mse = float(np.mean(np.multiply(err, err, out=err)))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)

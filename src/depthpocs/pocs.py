@@ -21,11 +21,10 @@ first, once for the whole loop (see _Stripes). Every output sample is
 computed by the same operations in the same order as in a single stripe,
 so the result does not depend on the number of stripes, bit for bit.
 
-Each stripe process owns one workspace (see _common.Workspace) for its
-stripe's scratch arrays: the parent makes its own after forking the
-workers, and each worker makes its own when it starts serving, so neither
-pays copy-on-write faults on the other's pages. Every half-iteration after
-the first reuses it, down to the scale grid's camera-only denominator.
+Every stage allocates its arrays afresh with numpy. By default glibc
+hands each large one back to the system when it is freed, so every
+half-iteration would fault thousands of pages in again; _keep_freed_memory
+makes the C library keep freed memory for the next half-iteration.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from ._common import Workspace, as_map, require_same_shape
+from ._common import as_map, require_same_shape
 from .codec import (
     BLOCK,
     BinConstraints,
@@ -73,7 +72,6 @@ class RefineOptions:
     radius: int = 3
     start: str = "left"
     keep_best: bool = False
-    round_metrics: bool = False
 
     def __post_init__(self):
         for name in ("max_iters", "radius"):
@@ -156,6 +154,30 @@ def _stripe_rows(height: int, count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _keep_freed_memory() -> None:
+    """Make the C library keep freed memory for the next allocation.
+
+    By default glibc serves each allocation above its mmap threshold (at
+    first 128 KiB) with a mapping of its own and unmaps it on free, and
+    trims the heap's free top back to the system, so every half-iteration
+    faults its large arrays in afresh. Raising the mmap threshold to
+    32 MiB puts them in the heap, and a 1 GiB trim threshold keeps what
+    they free there for the next half-iteration. The setting holds for the
+    whole process and for the processes it forks. Does nothing where the C
+    library has no mallopt.
+    """
+    import ctypes  # here, so that importing the package does not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 class _Worker(NamedTuple):
     pid: int
     commands: BinaryIO
@@ -174,11 +196,12 @@ class _Stripes:
     through anonymous shared memory mapped before the fork, so only
     project_view knows which rows a stripe reads. Pipes carry the other
     arguments of each half-iteration to the workers and their clip counts
-    back. Leaving the context ends the workers. The parent's workspace is
-    made after the workers are forked.
+    back. Leaving the context ends the workers.
     """
 
     def __init__(self, descs, shape: tuple[int, int], count: int = 1):
+        # Before the fork, so that the workers inherit the policy.
+        _keep_freed_memory()
         self.descs = tuple(descs)
         self.bounds = [bin_bounds(d.indices, d.table) for d in self.descs]
         self.rows = _stripe_rows(shape[0], count)
@@ -194,7 +217,6 @@ class _Stripes:
             except BaseException:
                 self.close()
                 raise
-        self.workspace = Workspace()
 
     def __enter__(self) -> "_Stripes":
         return self
@@ -231,16 +253,13 @@ class _Stripes:
     def _serve(self, commands: BinaryIO, replies: BinaryIO, rows: tuple[int, int]) -> None:
         """Worker loop: one stripe per command until the parent closes the pipe."""
         src, cur, out = self.shared
-        workspace = Workspace()
         while True:
             try:
                 index, src_cam, dst_cam, options = pickle.load(commands)
             except EOFError:
                 return
             try:
-                reply = self._stripe(
-                    index, src, cur, out, src_cam, dst_cam, options, rows, workspace
-                ), None
+                reply = self._stripe(index, src, cur, out, src_cam, dst_cam, options, rows), None
             except Exception as exc:  # reported to the parent, which raises it
                 reply = 0, f"{type(exc).__name__}: {exc}"
             pickle.dump(reply, replies)
@@ -248,30 +267,24 @@ class _Stripes:
             if reply[1] is not None:
                 return
 
-    def _stripe(self, index, src, cur, out, src_cam, dst_cam, options, rows, ws) -> int:
-        """Write rows [a, b) of the half-iteration's output into out; return its clip count.
-
-        Every intermediate array comes from the process's workspace ws.
-        """
+    def _stripe(self, index, src, cur, out, src_cam, dst_cam, options, rows) -> int:
+        """Write rows [a, b) of the half-iteration's output into out; return its clip count."""
         a, b = rows
         desc, bounds = self.descs[index], self.bounds[index]
-        with ws.frame():
-            warped = project_view(
-                src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
-                sigma_r=options.sigma_r, radius=options.radius, rows=rows, workspace=ws,
-            )
-            padded = pad_to_blocks(warped, workspace=ws)
-            coeffs = dct_blocks(split_blocks(padded, workspace=ws), workspace=ws)
-            first = a // BLOCK * (desc.width // BLOCK)
-            mine = slice(first, first + len(coeffs))
-            clipped = clip_to_bins(
-                coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]), workspace=ws
-            )
-            # A coefficient moves exactly when it lies outside its bin.
-            moved = np.not_equal(clipped, coeffs, out=ws.take(coeffs.shape, bool))
-            rebuilt = merge_blocks(idct_blocks(clipped, workspace=ws), *padded.shape, workspace=ws)
-            out[a:b] = rebuilt[: b - a, : desc.orig_width]
-            return int(np.count_nonzero(moved))
+        warped = project_view(
+            src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
+            sigma_r=options.sigma_r, radius=options.radius, rows=rows,
+        )
+        padded = pad_to_blocks(warped)
+        coeffs = dct_blocks(split_blocks(padded))
+        first = a // BLOCK * (desc.width // BLOCK)
+        mine = slice(first, first + len(coeffs))
+        clipped = clip_to_bins(coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]))
+        # A coefficient moves exactly when it lies outside its bin.
+        n_out = int(np.count_nonzero(clipped != coeffs))
+        rebuilt = merge_blocks(idct_blocks(clipped), *padded.shape)
+        out[a:b] = rebuilt[: b - a, : desc.orig_width]
+        return n_out
 
     def run(self, desc, src, cur, src_cam, dst_cam, options) -> tuple[np.ndarray, int]:
         """The half-iteration's output map and its clip count, from every stripe.
@@ -296,9 +309,7 @@ class _Stripes:
                         worker.commands.flush()
                     except BrokenPipeError:
                         raise DepthPocsError("stripe worker exited early") from None
-            n_out = self._stripe(
-                index, src, cur, out, src_cam, dst_cam, options, self.rows[0], self.workspace
-            )
+            n_out = self._stripe(index, src, cur, out, src_cam, dst_cam, options, self.rows[0])
             for worker in self.workers:
                 try:
                     count, error = pickle.load(worker.replies)
@@ -354,9 +365,8 @@ def half_iteration(
     if stripes is None:
         stripes = _Stripes((dst_desc,), cur.shape)
     out, n_out = stripes.run(dst_desc, s, cur, src_cam, dst_cam, options)
-    with stripes.workspace.frame():
-        change = np.subtract(out, cur, out=stripes.workspace.take(cur.shape))
-        mean_change = float(np.mean(np.abs(change, out=change)))
+    change = np.subtract(out, cur)
+    mean_change = float(np.mean(np.abs(change, out=change)))
     stats = HalfIterationStats(
         mean_change=mean_change,
         clip_fraction=n_out / (dst_desc.n_blocks * BLOCK * BLOCK),
@@ -392,7 +402,9 @@ def refine(
 
     ground_truth, when given as (left, right), enables the PSNR trace in
     the report and, with options.keep_best, retains the best iterate seen
-    (the converged point is not necessarily the best one).
+    (the converged point is not necessarily the best one). The trace's
+    PSNRs are taken on maps rounded to 8-bit levels, as report.csv prints
+    them.
     """
     opts = options if options is not None else RefineOptions()
     require_rectified(left_cam, right_cam)
@@ -416,7 +428,6 @@ def refine(
     count = _stripe_count(*left.shape, opts.max_iters)
 
     with _Stripes((left_desc, right_desc), left.shape, count) as stripes:
-        workspace = stripes.workspace
         scores: dict[str, float] = {}  # each view's PSNR after its last update
         for it in range(1, opts.max_iters + 1):
             changes = []
@@ -435,9 +446,7 @@ def refine(
                     # Only the updated view changed; the other keeps its PSNR.
                     for name, m, truth in (("left", left, truth_l), ("right", right, truth_r)):
                         if name == view or name not in scores:
-                            scores[name] = psnr(
-                                m, truth, round_to_int=opts.round_metrics, workspace=workspace
-                            )
+                            scores[name] = psnr(m, truth, round_to_int=True)
                     entry.psnr_left, entry.psnr_right = scores["left"], scores["right"]
                     entry.g = (entry.psnr_left + entry.psnr_right) / 2.0
                     if opts.keep_best and (report.best_g is None or entry.g > report.best_g):

@@ -18,13 +18,6 @@ project_view(rows=(a, b)) computes output rows [a, b) of a stripe of the
 map from source and target rows [a - radius, b + radius) alone, clipped
 to the map; windows are still truncated at the map's borders only. The
 rows come out bit for bit as in the whole projection.
-
-Every function takes an optional workspace (see _common.Workspace) for its
-scratch arrays and its result. The workspace belongs to the process that
-passes it: pocs gives each stripe process its own, made after the fork,
-and reuses it for every half-iteration, so that the scratch arrays of a
-warm half-iteration need no fresh pages. A result taken from a workspace is valid until the
-caller's frame ends. Without one, every array is new.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ import math
 
 import numpy as np
 
-from ._common import FRESH, Workspace, as_map, require_same_shape
+from ._common import as_map, require_same_shape
 from .errors import InvalidParameterError
 from .geometry import CameraParams, projective_scale_grid, require_rectified
 
@@ -56,12 +49,7 @@ def check_sigma(name: str, value: float) -> None:
 
 
 def forward_warp(
-    src,
-    src_cam: CameraParams,
-    dst_cam: CameraParams,
-    row0: int = 0,
-    *,
-    workspace: Workspace = FRESH,
+    src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Warp every positive-depth source pixel into the target view.
 
@@ -77,53 +65,48 @@ def forward_warp(
     m = as_map(src, "source map")
     h, w = m.shape
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
-    # Room for a sample per pixel; the kept samples fill the front.
-    room = [workspace.take(h * w, dtype) for dtype in (np.intp, np.float64, np.float64, np.intp)]
-    with workspace.frame():
-        scale = projective_scale_grid(src_cam, m, row0, workspace=workspace)
-        dst_cols = workspace.take((h, w))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.divide(shift, scale, out=dst_cols)
-            np.add(dst_cols, np.arange(w, dtype=np.float64), out=dst_cols)
-            # Landing columns are kept in 1/256-pixel fixed point. Surfaces
-            # whose disparity is a whole number of columns must land exactly
-            # on grid columns; tiny depth perturbations (filter tails,
-            # transform round-off) would otherwise flip their interval
-            # membership at depth edges and the interpolation would pick
-            # across the edge.
-            np.multiply(dst_cols, 256.0, out=dst_cols)
-            np.round(dst_cols, out=dst_cols)
-            np.divide(dst_cols, 256.0, out=dst_cols)
-        valid = np.greater(m, 0.0, out=workspace.take((h, w), bool))
-        test = workspace.take((h, w), bool)
-        valid &= np.isfinite(scale, out=test)
-        valid &= np.greater(scale, 0.0, out=test)
-        valid &= np.greater_equal(dst_cols, -1.0, out=test)
-        valid &= np.less_equal(dst_cols, float(w), out=test)
-        # The one array made afresh: the flat index of every kept pixel.
-        # Every index is in range, so mode="clip" only skips the check.
-        index = np.flatnonzero(valid)
-        rows, cols, depths, src_cols = (a[: index.size] for a in room)
-        np.divmod(index, w, out=(rows, src_cols))
-        np.take(dst_cols.ravel(), index, out=cols, mode="clip")
-        np.take(m.ravel(), index, out=depths, mode="clip")
+    scale = projective_scale_grid(src_cam, m, row0)
+    dst_cols = np.empty((h, w))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(shift, scale, out=dst_cols)
+        np.add(dst_cols, np.arange(w, dtype=np.float64), out=dst_cols)
+        # Landing columns are kept in 1/256-pixel fixed point. Surfaces whose
+        # disparity is a whole number of columns must land exactly on grid
+        # columns; tiny depth perturbations (filter tails, transform
+        # round-off) would otherwise flip their interval membership at depth
+        # edges and the interpolation would pick across the edge.
+        np.multiply(dst_cols, 256.0, out=dst_cols)
+        np.round(dst_cols, out=dst_cols)
+        np.divide(dst_cols, 256.0, out=dst_cols)
+    valid = np.greater(m, 0.0)
+    test = np.empty((h, w), bool)
+    valid &= np.isfinite(scale, out=test)
+    valid &= np.greater(scale, 0.0, out=test)
+    valid &= np.greater_equal(dst_cols, -1.0, out=test)
+    valid &= np.less_equal(dst_cols, float(w), out=test)
+    # Room for a sample per pixel, filled from the front: arrays of the same
+    # size on every call let the heap hand back the pages the last one freed.
+    room = [np.empty(h * w, dtype) for dtype in (np.intp, np.float64, np.float64, np.intp)]
+    index = np.flatnonzero(valid)
+    rows, cols, depths, src_cols = (a[: index.size] for a in room)
+    # Every index is in range, so mode="clip" only skips the check.
+    np.divmod(index, w, out=(rows, src_cols))
+    np.take(dst_cols.ravel(), index, out=cols, mode="clip")
+    np.take(m.ravel(), index, out=depths, mode="clip")
     return rows, cols, depths, src_cols
 
 
-def _target_pixels(rows, cols, side, w: int, n: int, ws: Workspace) -> np.ndarray:
+def _target_pixels(rows, cols, side, w: int, n: int) -> np.ndarray:
     """Each sample's target pixel row * w + side(col), or n where that is off the grid."""
-    tgt = ws.take(cols.size, np.intp)
-    with ws.frame():
-        column = side(cols, out=ws.take(cols.size))
-        np.copyto(tgt, column, casting="unsafe")
-        tgt += np.multiply(rows, w, out=ws.take(rows.size, np.intp))
-        off = ws.take(cols.size, bool)
-        np.copyto(tgt, n, where=np.less(column, 0.0, out=off))
-        np.copyto(tgt, n, where=np.greater_equal(column, w, out=off))
+    column = side(cols)
+    tgt = column.astype(np.intp)
+    tgt += rows * w
+    np.copyto(tgt, n, where=np.less(column, 0.0))
+    np.copyto(tgt, n, where=np.greater_equal(column, w))
     return tgt
 
 
-def _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, ws: Workspace) -> None:
+def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     """Each target pixel's pick among the samples that serve it from one side.
 
     tgt holds each sample's target pixel, or n (the pixel count) for a
@@ -131,23 +114,19 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, ws: Worksp
     within tau of the current target value, then smallest depth, then
     smallest source column. Every sample is written to its target, in any
     order, so a pixel served by exactly one sample takes it directly; only
-    the groups of two or more are sorted, and their winners written over. picks is
-    (depth, column), n + 1 entries each, filled here: NaN where no sample
-    serves, and entry n takes the samples that serve no pixel.
+    the groups of two or more are sorted, and their winners written over.
+    Returns the picked depth and column per pixel, NaN where no sample
+    serves it.
     """
     n = flat_current.size
-    pick_d, pick_c = picks
-    pick_d.fill(np.nan)
-    pick_c.fill(np.nan)
+    # Entry n takes the samples that serve no pixel.
+    pick_d = np.full(n + 1, np.nan)
+    pick_c = np.full(n + 1, np.nan)
     pick_d[tgt] = depths
     pick_c[tgt] = cols
-    with ws.frame():
-        count = ws.take(n + 1, np.intp)
-        count.fill(0)
-        np.add.at(count, tgt, 1)
-        count[n] = 0  # entry n is no pixel
-        shared = np.take(count, tgt, out=ws.take(tgt.size, np.intp), mode="clip")
-        multi = np.flatnonzero(np.greater(shared, 1, out=ws.take(tgt.size, bool)))
+    count = np.bincount(tgt, minlength=n + 1)
+    count[n] = 0  # entry n is no pixel
+    multi = np.flatnonzero(np.take(count, tgt, mode="clip") > 1)
     tm = tgt[multi]
     dm = depths[multi]
     fails = np.abs(dm - flat_current[tm]) > tau
@@ -158,16 +137,10 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, ws: Worksp
     won = multi[order[first]]
     pick_d[tm[first]] = depths[won]
     pick_c[tm[first]] = cols[won]
+    return pick_d[:n], pick_c[:n]
 
 
-def _interpolate_grid(
-    samples,
-    current: np.ndarray,
-    tau: float,
-    *,
-    workspace: Workspace = FRESH,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
     """Edge-adaptive depth at every integer target pixel.
 
     samples are forward_warp's flat arrays. Pixel c picks one sample from
@@ -175,48 +148,38 @@ def _interpolate_grid(
     blended linearly by horizontal distance; with a single pick its depth
     is returned, and with none the current value is kept. Each sample can
     serve exactly one pixel from the left (target ceil(col)) and one from
-    the right (target floor(col)). The result is written into out when
-    given.
+    the right (target floor(col)).
     """
     rows, cols, depths, src_cols = samples
     h, w = current.shape
     n = h * w
     flat_current = current.ravel()
-    if out is None:
-        out = workspace.take((h, w))
-    with workspace.frame():
-        picked = []
-        for side in (np.ceil, np.floor):
-            picks = workspace.take(n + 1), workspace.take(n + 1)
-            with workspace.frame():
-                tgt = _target_pixels(rows, cols, side, w, n, workspace)
-                _pick_side(tgt, cols, depths, src_cols, flat_current, tau, picks, workspace)
-            picked.append((picks[0][:n], picks[1][:n]))
-        (p1d, t1), (p2d, t2) = picked
-        # Distances to the picks, on the rows of the grid and in place of
-        # the pick columns: t1 = column - left pick, t2 = right pick - column.
-        grid = np.arange(w, dtype=np.float64)
-        np.subtract(grid, t1.reshape(h, w), out=t1.reshape(h, w))
-        np.subtract(t2.reshape(h, w), grid, out=t2.reshape(h, w))
-        blend = workspace.take(n)
-        part = workspace.take(n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.multiply(p1d, t2, out=blend)
-            np.add(blend, np.multiply(p2d, t1, out=part), out=blend)
-            np.divide(blend, np.add(t1, t2, out=part), out=blend)
-        mask = workspace.take(n, bool)
-        np.copyto(blend, p2d, where=np.equal(t2, 0.0, out=mask))
-        np.copyto(blend, p1d, where=np.equal(t1, 0.0, out=mask))
-        # The blend where both picks exist, else the one pick, else current.
-        have1 = np.logical_not(np.isnan(p1d, out=mask), out=mask)
-        have2 = workspace.take(n, bool)
-        np.logical_not(np.isnan(p2d, out=have2), out=have2)
-        flat_out = out.reshape(-1)
-        np.copyto(flat_out, flat_current)
-        np.copyto(flat_out, p2d, where=have2)
-        np.copyto(flat_out, p1d, where=have1)
-        np.copyto(flat_out, blend, where=np.logical_and(have1, have2, out=have1))
-    return out
+    picked = []
+    for side in (np.ceil, np.floor):
+        tgt = _target_pixels(rows, cols, side, w, n)
+        picked.append(_pick_side(tgt, cols, depths, src_cols, flat_current, tau))
+    (p1d, t1), (p2d, t2) = picked
+    # Distances to the picks, on the rows of the grid and in place of the
+    # pick columns: t1 = column - left pick, t2 = right pick - column.
+    grid = np.arange(w, dtype=np.float64)
+    np.subtract(grid, t1.reshape(h, w), out=t1.reshape(h, w))
+    np.subtract(t2.reshape(h, w), grid, out=t2.reshape(h, w))
+    part = np.empty(n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        blend = np.multiply(p1d, t2)
+        np.add(blend, np.multiply(p2d, t1, out=part), out=blend)
+        np.divide(blend, np.add(t1, t2, out=part), out=blend)
+    mask = np.empty(n, bool)
+    np.copyto(blend, p2d, where=np.equal(t2, 0.0, out=mask))
+    np.copyto(blend, p1d, where=np.equal(t1, 0.0, out=mask))
+    # The blend where both picks exist, else the one pick, else current.
+    have1 = np.logical_not(np.isnan(p1d, out=mask), out=mask)
+    have2 = np.logical_not(np.isnan(p2d))
+    out = flat_current.copy()
+    np.copyto(out, p2d, where=have2)
+    np.copyto(out, p1d, where=have1)
+    np.copyto(out, blend, where=np.logical_and(have1, have2, out=have1))
+    return out.reshape(h, w)
 
 
 def bilateral_filter(
@@ -225,8 +188,6 @@ def bilateral_filter(
     sigma_r: float,
     radius: int,
     rows: tuple[int, int] | None = None,
-    *,
-    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Edge-preserving smoothing with Gaussian spatial and range kernels.
 
@@ -250,10 +211,8 @@ def bilateral_filter(
         raise InvalidParameterError(f"radius must be >= 0, got {radius}")
     h, w = m.shape
     a, b = (0, h) if rows is None else rows
-    out = workspace.take((b - a, w))
     if radius == 0:
-        np.copyto(out, m[a:b])
-        return out
+        return m[a:b].copy()
     check_sigma("sigma_s", sigma_s)
     check_sigma("sigma_r", sigma_r)
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
@@ -267,56 +226,56 @@ def bilateral_filter(
         if dy < 0 or dx < 0
     ]
     band = max(1, min(b - a, _BAND_ROWS))
-    with workspace.frame():
-        # One buffer holds a band's stored terms, each as a contiguous array.
-        store = workspace.take((len(firsts), 2, (band + radius) * w))
-        num = workspace.take(band * w)
-        den = workspace.take(band * w)
-        # Accumulating weighted deviations from the center (instead of
-        # weighted values) keeps flat regions exactly unchanged in floating
-        # point.
-        for b0 in range(a, b, band):
-            b1 = min(b, b0 + band)
-            bn = (b1 - b0) * w
-            num_b = num[:bn].reshape(b1 - b0, w)
-            den_b = den[:bn].reshape(b1 - b0, w)
-            num_b.fill(0.0)
-            den_b.fill(0.0)
-            shared = []
-            for k, (dy, dx) in enumerate(firsts):
-                # Pixels p whose neighbor p + (dy, dx) is inside the map, on
-                # the band's rows and on the |dy| rows the mirror offset reads.
-                y0, y1 = max(b0, -dy), min(h, b1 - dy)
-                x0, x1 = max(0, -dx), min(w, w - dx)
-                if y0 >= y1 or x0 >= x1:
-                    continue
-                size = (y1 - y0) * (x1 - x0)
-                wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
-                term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
-                np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
-                np.multiply(term, term, out=wgt)
-                wgt *= -inv2sr
-                np.exp(wgt, out=wgt)
-                wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
-                term *= wgt
-                own = min(y1, b1) - y0
-                if own > 0:
-                    num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
-                    den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
-                shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
-            # The center offset: weight exp(0) = 1, weighted deviation +0.0.
-            den_b += 1.0
-            for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
-                # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
-                # wgt[p], weighted deviation -term[p].
-                p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
-                if p0 >= p1:
-                    continue
-                q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
-                num_b[q] -= term[p0 - y0 : p1 - y0]
-                den_b[q] += wgt[p0 - y0 : p1 - y0]
-            np.divide(num_b, den_b, out=num_b)
-            np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
+    # One buffer holds a band's stored terms, each as a contiguous array.
+    store = np.empty((len(firsts), 2, (band + radius) * w))
+    num = np.empty(band * w)
+    den = np.empty(band * w)
+    out = np.empty((b - a, w))
+    # Accumulating weighted deviations from the center (instead of
+    # weighted values) keeps flat regions exactly unchanged in floating
+    # point.
+    for b0 in range(a, b, band):
+        b1 = min(b, b0 + band)
+        bn = (b1 - b0) * w
+        num_b = num[:bn].reshape(b1 - b0, w)
+        den_b = den[:bn].reshape(b1 - b0, w)
+        num_b.fill(0.0)
+        den_b.fill(0.0)
+        shared = []
+        for k, (dy, dx) in enumerate(firsts):
+            # Pixels p whose neighbor p + (dy, dx) is inside the map, on
+            # the band's rows and on the |dy| rows the mirror offset reads.
+            y0, y1 = max(b0, -dy), min(h, b1 - dy)
+            x0, x1 = max(0, -dx), min(w, w - dx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            size = (y1 - y0) * (x1 - x0)
+            wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
+            term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
+            np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
+            np.multiply(term, term, out=wgt)
+            wgt *= -inv2sr
+            np.exp(wgt, out=wgt)
+            wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
+            term *= wgt
+            own = min(y1, b1) - y0
+            if own > 0:
+                num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
+                den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
+            shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
+        # The center offset: weight exp(0) = 1, weighted deviation +0.0.
+        den_b += 1.0
+        for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
+            # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
+            # wgt[p], weighted deviation -term[p].
+            p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
+            if p0 >= p1:
+                continue
+            q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
+            num_b[q] -= term[p0 - y0 : p1 - y0]
+            den_b[q] += wgt[p0 - y0 : p1 - y0]
+        np.divide(num_b, den_b, out=num_b)
+        np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
     return out
 
 
@@ -331,7 +290,6 @@ def project_view(
     sigma_r: float = 10.0,
     radius: int = 3,
     rows: tuple[int, int] | None = None,
-    workspace: Workspace = FRESH,
 ) -> np.ndarray:
     """Full view-to-view projection: warp, interpolate, bilateral filter.
 
@@ -347,10 +305,5 @@ def project_view(
     a, b = (0, h) if rows is None else rows
     halo = max(0, int(radius))
     s0, s1 = max(0, a - halo), min(h, b + halo)
-    interp = workspace.take((s1 - s0, s.shape[1]))
-    with workspace.frame():
-        samples = forward_warp(s[s0:s1], src_cam, dst_cam, s0, workspace=workspace)
-        _interpolate_grid(samples, cur[s0:s1], tau, workspace=workspace, out=interp)
-    return bilateral_filter(
-        interp, sigma_s, sigma_r, radius, (a - s0, b - s0), workspace=workspace
-    )
+    interp = _interpolate_grid(forward_warp(s[s0:s1], src_cam, dst_cam, s0), cur[s0:s1], tau)
+    return bilateral_filter(interp, sigma_s, sigma_r, radius, (a - s0, b - s0))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depthpocs import cli, errors
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
 from depthpocs.errors import ConfigError
 from depthpocs.pgm import read_pgm, write_pgm
@@ -105,7 +106,6 @@ class TestLoadConfig:
         assert len(cfg.scene.primitives) == 2
         assert np.all(cfg.table == 24.0)
         assert cfg.options.max_iters == 3
-        assert cfg.options.round_metrics
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -406,7 +406,41 @@ class TestSweep:
             assert (step / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+# README's exit-code table: 2 invalid configuration, 3 I/O failure
+# (missing or malformed files), 4 numerical failure.
+README_EXIT_CODES = {
+    "ConfigError": 2,
+    "InvalidConfigurationError": 2,
+    "InvalidParameterError": 2,
+    "InvalidSceneError": 2,
+    "PgmFormatError": 3,
+    "OSError": 3,
+    "DepthPocsError": 4,
+    "InvalidInputError": 4,
+    "CorruptDescriptionError": 4,
+    "NumericalError": 4,
+    "FloatingPointError": 4,
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error",
+        sorted(
+            (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)),
+            key=lambda c: c.__name__,
+        )
+        + [OSError, FloatingPointError],
+        ids=lambda c: c.__name__,
+    )
+    def test_each_error_class_has_its_documented_code(self, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "_cmd_run", fail)
+        assert main(["run", "any.ini", "-o", "out"]) == README_EXIT_CODES[error.__name__]
+        assert capsys.readouterr().err == "error: injected\n"
+
     @pytest.mark.parametrize(
         "quant, argv",
         [

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpocs._common import FRESH, Workspace
 from depthpocs.errors import InvalidConfigurationError, InvalidInputError
 from depthpocs.geometry import (
     CameraParams,
@@ -236,8 +235,7 @@ class TestScaleGrid:
     )
     def test_affine_form_matches_cramer(self, h, w, row0, tilt, seed):
         # Bit for bit on unrotated rigs (every bundled and benchmark rig);
-        # within A5's relative 1e-9 on tilted ones. A workspace caches the
-        # denominator, so its second call reads the cached one.
+        # within A5's relative 1e-9 on tilted ones.
         rng = np.random.default_rng(seed)
         k = np.array(
             [
@@ -251,18 +249,10 @@ class TestScaleGrid:
         depth = rng.uniform(0.5, 255.0, (h, w))
         depth[rng.random((h, w)) < 0.1] = 0.0
         depth[rng.random((h, w)) < 0.05] *= -1.0
-        # One workspace serves another slab start and another K after the
-        # first call: neither may read the first call's cached denominator.
+        # Another slab start and another K: the denominator depends on both.
         other = CameraParams(k * [[1.01], [1.0], [1.0]], cam.e)
-        workspace = Workspace()
-        for camera, start, ws in (
-            (cam, row0, FRESH),
-            (cam, row0, workspace),
-            (cam, row0, workspace),
-            (cam, row0 + 1, workspace),
-            (other, row0, workspace),
-        ):
-            got = projective_scale_grid(camera, depth, start, workspace=ws)
+        for camera, start in ((cam, row0), (cam, row0 + 1), (other, row0)):
+            got = projective_scale_grid(camera, depth, start)
             want = cramer_scale_grid(camera, depth, start)
             assert np.array_equal(np.isnan(got), depth <= 0)
             if tilt:

@@ -4,6 +4,7 @@ block-row stripes with their worker processes."""
 
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from depthpocs.pocs import (
     half_iteration,
     refine,
 )
-from depthpocs.scene import Box, Plane, SceneSpec, generate_scene
+from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 from depthpocs.warp import bilateral_filter, forward_warp
 from warp_oracle import interpolate_reference
 
@@ -191,7 +192,7 @@ class TestRefine:
             return psnr(*args, **kwargs)
 
         monkeypatch.setattr(pocs, "psnr", counted)
-        opts = RefineOptions(max_iters=3, round_metrics=True)
+        opts = RefineOptions(max_iters=3)
         left, right, report = refine(
             dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right)
         )
@@ -378,11 +379,11 @@ class TestStripes:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_reused_workspace_leaks_nothing(self, monkeypatch, h, w, radii, band, count, seed):
-        # Every stripe process reuses its workspace, and the scale grid's
-        # cached denominator, from call to call. Input B after input A, with
-        # another radius, other cameras and options, and filter bands of
-        # `band` rows (so that the last band of a stripe is often short),
-        # must give what a fresh context gives for B, bit for bit.
+        # One context serves call after call, and its worker processes keep
+        # their state between them. Input B after input A, with another
+        # radius, other cameras and options, and filter bands of `band` rows
+        # (so that the last band of a stripe is often short), must give what
+        # a fresh context gives for B, bit for bit.
         monkeypatch.setattr(warp, "_BAND_ROWS", band)
         rng = np.random.default_rng(seed)
         desc = encode_map(rng.uniform(30, 250, (h, w)), random_table(rng))
@@ -504,3 +505,40 @@ class TestStripes:
         with pytest.raises(KeyboardInterrupt):
             refine_with_stripes(monkeypatch, 3, gen, dl, dr, RefineOptions())
         assert no_child_left()
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+    def test_warm_half_iterations_fault_in_no_pages(self):
+        # Every half-iteration allocates its arrays afresh. With the policy
+        # _Stripes sets, the third and fourth reuse the heap pages the first
+        # two freed; without it each faults thousands of pages in again.
+        resource = pytest.importorskip("resource")
+        gen = generate_scene(demo_scene(501, 373))
+        table = jpeg_table(50)
+        dl, dr = encode_map(gen.left, table), encode_map(gen.right, table)
+        left, right = decode_map(dl), decode_map(dr)
+        cl, cr = gen.cameras.left, gen.cameras.right
+        opts = RefineOptions()
+        faults = []
+        with pocs._Stripes((dl, dr), left.shape) as stripes:
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                right, _ = half_iteration(left, cl, cr, dr, right, opts, stripes=stripes)
+                middle = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                left, _ = half_iteration(right, cr, cl, dl, left, opts, stripes=stripes)
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                faults += [middle - before, after - middle]
+        assert faults[2] < 100 and faults[3] < 100, faults
+
+    @pytest.mark.parametrize("cdll", ["no mallopt", "no library"])
+    def test_policy_is_skipped_without_mallopt(self, monkeypatch, cdll):
+        import ctypes
+
+        def load(name):
+            if cdll == "no library":
+                raise OSError("cannot load the C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        assert pocs._keep_freed_memory() is None
