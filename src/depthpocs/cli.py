@@ -6,19 +6,23 @@ evaluate (PSNR of a pair against references), run (the whole protocol:
 truth, compress, standard decode, smoothed baseline, refinement,
 error maps, CSV report) and sweep (run over a list of step sizes).
 
-Each piece of the pipeline is built in one place: step tables by
-_step_table, cameras by RunConfig.camera_pair (from the config and a map
-shape), the truth pair by resolve_inputs, the protocol by run_protocol and
-report.csv by write_report_csv. `sweep` renders the scene, or reads the
-[inputs] maps, once and runs the protocol on those arrays for every step.
-`refine` needs only the two descriptions and the config's camera sections:
-it takes the map shape from the descriptions and neither renders [scene]
-nor reads the [inputs] maps.
+Each piece of the pipeline is built in one place. _read_sections reads
+every config section, the camera file's too, through one table: _SECTIONS,
+and _PRIMITIVES per [primitive.*] type, give each key its value reader and
+say whether it is required. A section or key they do not list is a
+ConfigError. Step tables come from _step_table, cameras from
+RunConfig.camera_pair (the config and a map shape), the truth pair from
+resolve_inputs, the protocol from run_protocol and report.csv from
+write_report_csv. `sweep` renders the scene, or reads the [inputs] maps,
+once and runs the protocol on those arrays for every step. `refine` needs
+only the two descriptions and the config's camera sections: it takes the
+map shape from the descriptions and neither renders [scene] nor reads the
+[inputs] maps.
 
 Reported PSNRs are computed on values rounded to 8-bit levels so the
 numbers match what a user would measure on the written PGM artifacts;
 exit codes: 0 ok, 2 invalid configuration, 3 I/O failure, 4 numerical
-failure.
+failure or too little memory.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,13 +40,7 @@ import numpy as np
 
 from . import __version__
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
-from .errors import (
-    ConfigError,
-    DepthPocsError,
-    InvalidConfigurationError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .errors import ConfigError, DepthPocsError, InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, RectifiedPair, simple_camera
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
@@ -58,10 +57,9 @@ class RunConfig:
     """Parsed run configuration: scene or imported maps, codec and solver."""
 
     scene: SceneSpec | None
-    input_left: Path | None
-    input_right: Path | None
+    inputs: tuple[Path, Path] | None
     cameras: RectifiedPair | None
-    simple_cam: tuple | None  # (focal, baseline, cx, cy) with cx/cy possibly None
+    camera: dict | None  # the [camera] values: focal, baseline and maybe cx, cy
     table: np.ndarray
     options: RefineOptions
 
@@ -69,112 +67,126 @@ class RunConfig:
         """The cameras for maps of `shape`; a missing cx/cy is the image centre."""
         if self.cameras is not None:
             return self.cameras
-        focal, baseline, cx, cy = self.simple_cam
         height, width = shape
-        cx = (width - 1) / 2.0 if cx is None else cx
-        cy = (height - 1) / 2.0 if cy is None else cy
+        focal, baseline = self.camera["focal"], self.camera["baseline"]
+        cx = self.camera.get("cx", (width - 1) / 2.0)
+        cy = self.camera.get("cy", (height - 1) / 2.0)
         return RectifiedPair(
             simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
         )
 
 
-def _cfg_float(section, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in section [{section.name}]")
-        return default
+# Value readers: the text of one key (never empty) in, its value out, or a
+# ValueError that says what is wrong with the text.
+def _number(raw: str) -> float:
     try:
         return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number") from exc
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a number") from None
 
 
-def _cfg_int(section, key, default=None):
-    value = _cfg_float(section, key, default)
-    if not float(value).is_integer():
-        raise ConfigError(f"[{section.name}] {key} = {section.get(key)!r} is not an integer")
+def _integer(raw: str) -> int:
+    value = _number(raw)
+    if not value.is_integer():
+        raise ValueError(f"{raw!r} is not an integer")
     return int(value)
 
 
-def _cfg_optional(section, key, conv):
-    """conv(section, key), or None when the key is absent."""
-    return None if section.get(key) is None else conv(section, key)
+def _yes_no(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not yes or no") from None
 
 
-def _read_ini(path: Path, what: str) -> configparser.ConfigParser:
+def _path(raw: str) -> Path:
+    if "\0" in raw:
+        raise ValueError(f"{raw!r} holds a NUL byte")
+    return Path(raw)
+
+
+def _matrix(rows: int, cols: int):
+    def read(raw: str) -> np.ndarray:
+        values = np.array([_number(tok) for tok in raw.split()])
+        if values.size != rows * cols:
+            raise ValueError(f"needs {rows * cols} numbers, got {values.size}")
+        return values.reshape(rows, cols)
+
+    return read
+
+
+# Every section a config may hold, as {key: (reader, required)}. A section
+# or key not listed is an error. An optional key that is absent is left out,
+# so the class its section builds supplies the default.
+_MATRICES = {"k": (_matrix(3, 3), True), "e": (_matrix(3, 4), True)}
+_SECTIONS = {
+    "scene": {"width": (_integer, True), "height": (_integer, True),
+              "seed": (_integer, False), "noise_amp": (_number, False)},
+    "camera": {"focal": (_number, True), "baseline": (_number, True),
+               "cx": (_number, False), "cy": (_number, False)},
+    "inputs": {"left": (_path, True), "right": (_path, True), "camera_file": (_path, False)},
+    "camera.left": _MATRICES,
+    "camera.right": _MATRICES,
+    "quant": {"delta": (_number, False), "quality": (_integer, False)},
+    "refine": {"max_iters": (_integer, False), "eps": (_number, False),
+               "tau": (_number, False), "sigma_s": (_number, False),
+               "sigma_r": (_number, False), "radius": (_integer, False),
+               "start": (str, False)},
+}
+# [primitive.<any name>]: its `type` picks the class it builds and its keys.
+_PRIMITIVES = {
+    "plane": (partial(Plane, a=0.0, b=0.0),
+              {"type": (str.lower, True), "a": (_number, False), "b": (_number, False),
+               "c": (_number, True), "ripple": (_yes_no, False)}),
+    "box": (Box, {"type": (str.lower, True),
+                  **dict.fromkeys(("x0", "x1", "y0", "y1", "depth"), (_number, True))}),
+}
+_CAMERA_FILE_SECTIONS = ("camera.left", "camera.right")
+
+
+def _read_sections(path: Path, what: str, names: tuple[str, ...]) -> dict[str, dict]:
+    """{section: {key: value}} of the INI file at path, read through the table.
+
+    names: the _SECTIONS the file may hold, and "primitive.*" if it may hold
+    primitives. `%` is literal; [DEFAULT] is an unknown section like any other.
+    """
     if not path.is_file():
         raise ConfigError(f"{what} not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parser
-
-
-def _parse_matrix(section, key, count, shape):
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"missing key '{key}' in section [{section.name}]")
-    try:
-        vals = [float(tok) for tok in raw.split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} has non-numeric entries") from exc
-    if len(vals) != count:
-        raise ConfigError(
-            f"[{section.name}] {key} needs {count} numbers, got {len(vals)}"
-        )
-    return np.array(vals).reshape(shape)
-
-
-def _parse_primitives(parser: configparser.ConfigParser) -> list:
-    prims = []
+    sections = {}
     for name in parser.sections():
-        if not name.startswith("primitive."):
-            continue
-        sec = parser[name]
-        kind = sec.get("type", "").strip().lower()
-        if kind == "plane":
-            prims.append(
-                Plane(
-                    a=_cfg_float(sec, "a", 0.0),
-                    b=_cfg_float(sec, "b", 0.0),
-                    c=_cfg_float(sec, "c"),
-                    ripple=sec.getboolean("ripple", fallback=True),
-                )
-            )
-        elif kind == "box":
-            prims.append(
-                Box(
-                    x0=_cfg_float(sec, "x0"),
-                    x1=_cfg_float(sec, "x1"),
-                    y0=_cfg_float(sec, "y0"),
-                    y1=_cfg_float(sec, "y1"),
-                    depth=_cfg_float(sec, "depth"),
-                )
-            )
+        section = parser[name]
+        if name.startswith("primitive.") and "primitive.*" in names:
+            kind = section.get("type", "").lower()
+            if kind not in _PRIMITIVES:
+                raise ConfigError(f"[{name}] has unknown type {kind!r}")
+            keys = _PRIMITIVES[kind][1]
+        elif name in names:
+            keys = _SECTIONS[name]
         else:
-            raise ConfigError(f"[{name}] has unknown type {kind!r}")
-    return prims
+            raise ConfigError(f"{what} {path} has unknown section [{name}]")
+        values = sections[name] = {}
+        for key, raw in section.items():
+            if key not in keys:
+                raise ConfigError(f"[{name}] has unknown key {key!r}")
+            if not raw:
+                raise ConfigError(f"[{name}] {key} has no value")
+            try:
+                values[key] = keys[key][0](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from None
+        missing = [key for key, (_, required) in keys.items() if required and key not in values]
+        if missing:
+            raise ConfigError(f"missing key '{missing[0]}' in section [{name}]")
+    return sections
 
 
-def _parse_camera_matrices(parser: configparser.ConfigParser) -> RectifiedPair:
-    try:
-        left, right = (
-            CameraParams(
-                _parse_matrix(parser[f"camera.{view}"], "k", 9, (3, 3)),
-                _parse_matrix(parser[f"camera.{view}"], "e", 12, (3, 4)),
-            )
-            for view in VIEWS
-        )
-        return RectifiedPair(left, right)
-    except InvalidConfigurationError as exc:
-        raise ConfigError(f"bad camera matrices: {exc}") from exc
-
-
-def _step_table(delta: float | None, quality: int | None) -> np.ndarray:
+def _step_table(delta: float | None = None, quality: int | None = None) -> np.ndarray:
     """Flat table of step delta (24 when neither is given) or JPEG-style table."""
     if delta is not None and quality is not None:
         raise ConfigError("give either a step size (delta) or a quality, not both")
@@ -189,99 +201,49 @@ def _step_table(delta: float | None, quality: int | None) -> np.ndarray:
 def load_config(path) -> RunConfig:
     """Parse an INI run configuration; paths resolve against its directory."""
     path = Path(path)
-    parser = _read_ini(path, "config file")
+    sections = _read_sections(path, "config file", (*_SECTIONS, "primitive.*"))
     base = path.parent
+    inputs = sections.get("inputs")
+    if inputs is not None and "camera_file" in inputs:
+        sections.update(
+            _read_sections(base / inputs["camera_file"], "camera file", _CAMERA_FILE_SECTIONS)
+        )
 
-    camera_parser = parser
-    if parser.has_section("inputs") and parser["inputs"].get("camera_file"):
-        camera_parser = _read_ini(base / parser["inputs"]["camera_file"], "camera file")
-
-    cameras = None
-    simple_cam = None
-    matrix_sections = [camera_parser.has_section(f"camera.{view}") for view in VIEWS]
-    if any(matrix_sections):
-        if not all(matrix_sections):
+    cameras = camera = None
+    views = [sections.get(name) for name in _CAMERA_FILE_SECTIONS]
+    if any(views):
+        if not all(views):
             raise ConfigError("need both [camera.left] and [camera.right]")
-        cameras = _parse_camera_matrices(camera_parser)
-    elif parser.has_section("camera"):
-        sec = parser["camera"]
-        simple_cam = (
-            _cfg_float(sec, "focal"),
-            _cfg_float(sec, "baseline"),
-            _cfg_optional(sec, "cx", _cfg_float),
-            _cfg_optional(sec, "cy", _cfg_float),
-        )
+        cameras = RectifiedPair(*(CameraParams(**view) for view in views))
+    else:
+        camera = sections.get("camera")
 
-    scene = None
-    input_left = input_right = None
-    if parser.has_section("scene"):
-        sec = parser["scene"]
-        if simple_cam is None:
-            raise ConfigError("scene mode needs a [camera] section")
-        scene = SceneSpec(
-            width=_cfg_int(sec, "width"),
-            height=_cfg_int(sec, "height"),
-            primitives=_parse_primitives(parser),
-            focal=simple_cam[0],
-            baseline=simple_cam[1],
-            cx=simple_cam[2],
-            cy=simple_cam[3],
-            seed=_cfg_int(sec, "seed", 0),
-            noise_amp=_cfg_float(sec, "noise_amp", 0.0),
-        )
-        if not scene.primitives:
+    scene = pair = None
+    if "scene" in sections:
+        if camera is None:
+            raise ConfigError("scene mode needs a [camera] section and no camera matrices")
+        primitives = [
+            _PRIMITIVES[values.pop("type")][0](**values)
+            for name, values in sections.items()
+            if name.startswith("primitive.")
+        ]
+        if not primitives:
             raise ConfigError("scene mode needs at least one [primitive.*] section")
-    elif parser.has_section("inputs"):
-        sec = parser["inputs"]
-        left = sec.get("left")
-        right = sec.get("right")
-        if not left or not right:
-            raise ConfigError("[inputs] needs 'left' and 'right' map paths")
-        input_left = base / left
-        input_right = base / right
-        if cameras is None and simple_cam is None:
-            raise ConfigError(
-                "import mode needs [camera.left]/[camera.right] matrices "
-                "or a [camera] section"
-            )
+        scene = SceneSpec(**sections["scene"], **camera, primitives=primitives)
+    elif inputs is not None:
+        pair = (base / inputs["left"], base / inputs["right"])
+        if cameras is None and camera is None:
+            raise ConfigError("import mode needs [camera.left]/[camera.right] "
+                              "matrices or a [camera] section")
     else:
         raise ConfigError("config needs a [scene] or an [inputs] section")
 
-    delta = quality = None
-    if parser.has_section("quant"):
-        sec = parser["quant"]
-        delta = _cfg_optional(sec, "delta", _cfg_float)
-        quality = _cfg_optional(sec, "quality", _cfg_int)
-    table = _step_table(delta, quality)
-
-    opts_kwargs = {}
-    if parser.has_section("refine"):
-        sec = parser["refine"]
-        for key, conv in (
-            ("max_iters", _cfg_int),
-            ("eps", _cfg_float),
-            ("tau", _cfg_float),
-            ("sigma_s", _cfg_float),
-            ("sigma_r", _cfg_float),
-            ("radius", _cfg_int),
-        ):
-            if sec.get(key) is not None:
-                opts_kwargs[key] = conv(sec, key)
-        if sec.get("start") is not None:
-            opts_kwargs["start"] = sec.get("start").strip()
     try:
-        options = RefineOptions(**opts_kwargs)
+        options = RefineOptions(**sections.get("refine", {}))
     except InvalidParameterError as exc:
         raise ConfigError(f"bad [refine] options: {exc}") from exc
-
     return RunConfig(
-        scene=scene,
-        input_left=input_left,
-        input_right=input_right,
-        cameras=cameras,
-        simple_cam=simple_cam,
-        table=table,
-        options=options,
+        scene, pair, cameras, camera, _step_table(**sections.get("quant", {})), options
     )
 
 
@@ -300,7 +262,7 @@ def resolve_inputs(config: RunConfig) -> Inputs:
         gen = generate_scene(config.scene)
         left, right, masks = gen.left, gen.right, (gen.mask_left, gen.mask_right)
     else:
-        left, right, masks = read_pgm(config.input_left), read_pgm(config.input_right), None
+        left, right, masks = *map(read_pgm, config.inputs), None
         if left.shape != right.shape:
             raise ConfigError(
                 f"input maps disagree in size: {left.shape} vs {right.shape}"
@@ -391,11 +353,6 @@ def run_protocol(
     return RunResult(q_std, q_smo, q_our, report, outdir)
 
 
-def run_pipeline(config: RunConfig, outdir, *, deep: bool = False) -> RunResult:
-    """Execute the full protocol and write every artifact into outdir."""
-    return run_protocol(resolve_inputs(config), config.table, config.options, outdir, deep=deep)
-
-
 def _cmd_generate(args) -> int:
     config = load_config(args.config)
     if config.scene is None:
@@ -444,13 +401,11 @@ def _cmd_refine(args) -> int:
                 raise ConfigError(
                     f"--truth-{view} is {t.shape}, the descriptions are {shape}"
                 )
-    our_l, our_r, report = refine(
-        desc_l, desc_r, cameras.left, cameras.right, config.options, truth
-    )
+    *our, report = refine(desc_l, desc_r, cameras.left, cameras.right, config.options, truth)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_pgm(outdir / "our_left.pgm", our_l, deep=args.pgm16)
-    write_pgm(outdir / "our_right.pgm", our_r, deep=args.pgm16)
+    for view, m in zip(VIEWS, our):
+        write_pgm(outdir / f"our_{view}.pgm", m, deep=args.pgm16)
     write_report_csv(outdir / "report.csv", report)
     state = "converged" if report.converged else "stopped"
     print(f"{state} after {report.iterations} iterations -> {outdir}")
@@ -480,7 +435,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    result = run_pipeline(config, args.outdir, deep=args.pgm16)
+    result = run_protocol(
+        resolve_inputs(config), config.table, config.options, args.outdir, deep=args.pgm16
+    )
     print(
         f"{result.scores()} "
         f"({'converged' if result.report.converged else 'stopped'} after "
@@ -500,7 +457,7 @@ def _cmd_sweep(args) -> int:
     names = [f"delta_{delta:g}" for delta in deltas]
     if len(set(names)) != len(names):
         raise ConfigError(f"--deltas {args.deltas!r}: two steps share a delta_<step> directory")
-    tables = [_step_table(delta, None) for delta in deltas]
+    tables = [_step_table(delta) for delta in deltas]
     inputs = resolve_inputs(config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -587,7 +544,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FloatingPointError as exc:
+    except (FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

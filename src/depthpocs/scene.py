@@ -191,6 +191,8 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     """
     if spec.width < 1 or spec.height < 1:
         raise InvalidSceneError("scene dimensions must be positive")
+    if spec.seed < 0:
+        raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
     cx, cy = spec.principal_point()
     ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
     tx_l = 0.0

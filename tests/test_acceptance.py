@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthpocs.cli import CSV_HEADER, load_config, main, run_pipeline
+from depthpocs.cli import CSV_HEADER, load_config, main, resolve_inputs, run_protocol
 from depthpocs.codec import (
     bin_bounds,
     clip_to_bins,
@@ -53,7 +53,7 @@ def bundle(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("a1")
     config = load_config(CONFIG)
     start = time.perf_counter()
-    result = run_pipeline(config, outdir)
+    result = run_protocol(resolve_inputs(config), config.table, config.options, outdir)
     elapsed = time.perf_counter() - start
     return {"config": config, "result": result, "elapsed": elapsed, "outdir": outdir}
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config parsing, every verb, artifact layout,
 CSV schema, determinism, exit codes, and the names the benchmark wraps."""
 
+import configparser
 import importlib.util
 import inspect
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpocs import cli, errors
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
@@ -107,6 +110,11 @@ class TestLoadConfig:
         assert np.all(cfg.table == 24.0)
         assert cfg.options.max_iters == 3
 
+    def test_primitive_type_ignores_case(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(SMALL_SCENE.replace("type = plane", "type = Plane").replace("= box", "= BOX"))
+        assert [type(prim).__name__ for prim in load_config(p).scene.primitives] == ["Plane", "Box"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
@@ -136,6 +144,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_scene_needs_camera_section_when_deleted(self, tmp_path):
+        p = tmp_path / "c.ini"
+        p.write_text(SMALL_SCENE.replace("[camera]\nfocal = 120.0\nbaseline = 6.0\n", ""))
+        with pytest.raises(ConfigError, match=r"scene mode needs a \[camera\] section"):
+            load_config(p)
+
     def test_needs_scene_or_inputs(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[quant]\ndelta = 8\n")
@@ -163,6 +177,224 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert cfg.cameras is not None
         assert cfg.cameras.right.t[0] - cfg.cameras.left.t[0] == 4.0
+
+
+IMPORT_CONFIG = "[inputs]\nleft = l.pgm\nright = r.pgm\ncamera_file = cams.ini\n"
+CAMERA_FILE = """
+[camera.left]
+k = 100 0 7.5  0 100 7.5  0 0 1
+e = 1 0 0 0  0 1 0 0  0 0 1 0
+
+[camera.right]
+k = 100 0 7.5  0 100 7.5  0 0 1
+e = 1 0 0 4  0 1 0 0  0 0 1 0
+"""
+
+
+def write_import_config(where, config=IMPORT_CONFIG, camera_file=CAMERA_FILE):
+    """An import-mode config with 16x16 maps and a camera file; returns its path."""
+    for name in ("l.pgm", "r.pgm"):
+        write_pgm(where / name, np.full((16, 16), 90.0))
+    (where / "cams.ini").write_text(camera_file)
+    (where / "c.ini").write_text(config)
+    return where / "c.ini"
+
+
+class TestStrictReader:
+    """Every section and key is in the table, or the config exits 2 before
+    anything is written, naming the section or key."""
+
+    def _rejects(self, tmp_path, capsys, argv, named):
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("[refine]", "[Refine]", "[Refine]"),
+            ("[quant]", "[bogus]\nx = 1\n\n[quant]", "[bogus]"),
+            ("max_iters = 3", "max_iter = 3", "'max_iter'"),
+            ("c = 140.0", "c = 140.0\nsigma = 3", "'sigma'"),
+            ("depth = 70.0", "depth = 70.0\nripple = no", "'ripple'"),
+            # Not a source of defaults for the other sections: a section of its own.
+            ("[scene]", "[DEFAULT]\nseed = 3\n\n[scene]", "[DEFAULT]"),
+            ("c = 140.0", "c = 140.0\nripple = maybe", "ripple"),
+            ("width = 64", "width =", "width"),
+            ("delta = 24.0", "delta = 24.0  ; comments go on their own line", "delta"),
+        ],
+        ids=[
+            "section-case", "unknown-section", "refine-key-typo", "plane-sigma", "box-ripple",
+            "default-section", "ripple-maybe", "empty-width", "inline-comment",
+        ],
+    )
+    def test_run_rejects(self, tmp_path, capsys, old, new, named):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE.replace(old, new))
+        self._rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("left = l.pgm", "left =", "left"),
+            ("left = l.pgm", "left = l\0.pgm", "left"),
+            ("camera_file = cams.ini", "camera_file = cams.ini\nbaseline = 4", "'baseline'"),
+            ("e = 1 0 0 4", "focal = 100\ne = 1 0 0 4", "'focal'"),
+            ("[camera.right]", "[camera.rigth]", "[camera.rigth]"),
+            ("[camera.right]", "[camera]\nfocal = 1\nbaseline = 1\n\n[camera.right]", "[camera]"),
+        ],
+        ids=[
+            "empty-left", "nul-in-path", "inputs-key", "camera-file-key", "camera-file-section",
+            "camera-file-simple-camera",
+        ],
+    )
+    def test_import_mode_rejects(self, tmp_path, capsys, old, new, named):
+        # Each edit finds its text in the config or in its camera file.
+        cfg = write_import_config(
+            tmp_path, IMPORT_CONFIG.replace(old, new), CAMERA_FILE.replace(old, new)
+        )
+        self._rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
+
+    def test_refine_verb_rejects(self, coded, tmp_path, capsys):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text(SMALL_SCENE.replace("max_iters = 3", "max_iter = 3"))
+        argv = ["refine", cfg, "--left-desc", coded["left"], "--right-desc", coded["right"],
+                "-o", tmp_path / "ref"]
+        self._rejects(tmp_path, capsys, argv, "'max_iter'")
+
+    def test_percent_is_literal(self, tmp_path):
+        cfg = write_import_config(tmp_path, IMPORT_CONFIG.replace("l.pgm", "50%.pgm"))
+        (tmp_path / "l.pgm").rename(tmp_path / "50%.pgm")
+        assert load_config(cfg).inputs == (tmp_path / "50%.pgm", tmp_path / "r.pgm")
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_sections() -> dict[str, str]:
+    """README's configuration block as {section: its text}."""
+    text = README.read_text().split("## Configuration file", 1)[1]
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    sections = {}
+    for line in block.splitlines():
+        if line.startswith("["):
+            name = line[1:-1]
+            sections[name] = ""
+        if sections:
+            sections[name] += line + "\n"
+    return sections
+
+
+def table_keys() -> set[str]:
+    tables = [*cli._SECTIONS.values(), *(keys for _, keys in cli._PRIMITIVES.values())]
+    return {key for keys in tables for key in keys}
+
+
+class TestReadmeConfig:
+    """The documented config block loads, in each mode, and lists the table's keys."""
+
+    def test_scene_mode_part_loads(self, tmp_path):
+        sections = readme_config_sections()
+        for name in ("inputs", "camera.left", "camera.right"):
+            del sections[name]
+        (tmp_path / "scene.ini").write_text("".join(sections.values()))
+        cfg = load_config(tmp_path / "scene.ini")
+        assert (cfg.scene.width, cfg.scene.height, cfg.scene.seed) == (256, 256, 7)
+        assert cfg.camera == {"focal": 120.0, "baseline": 12.0, "cx": 127.5, "cy": 127.5}
+        assert [type(p).__name__ for p in cfg.scene.primitives] == ["Plane", "Box"]
+
+    def test_import_mode_part_loads(self, tmp_path):
+        sections = readme_config_sections()
+        for name in [n for n in sections if n in ("scene", "camera") or n.startswith("primitive.")]:
+            del sections[name]
+        for name in ("left.pgm", "right.pgm"):
+            write_pgm(tmp_path / name, np.full((256, 256), 90.0))
+        (tmp_path / "cams.ini").write_text(sections["camera.left"] + sections["camera.right"])
+        (tmp_path / "import.ini").write_text("".join(sections.values()))
+        cfg = load_config(tmp_path / "import.ini")
+        assert cfg.inputs == (tmp_path / "left.pgm", tmp_path / "right.pgm")
+        assert cfg.cameras.right.t[0] == 12.0
+        assert np.all(cfg.table == 24.0) and cfg.options == cli.RefineOptions()
+
+    def test_documents_every_key(self):
+        block = "".join(readme_config_sections().values())
+        # Keys, and keys commented out as alternatives ("; quality = 50").
+        assert set(re.findall(r"^(?:; )?(\w+) = ", block, re.M)) == table_keys()
+        assert set(cli._SECTIONS) <= set(readme_config_sections())
+
+
+# Config text for the property below: a valid config of each mode with a few
+# edits. An edit sets, adds or drops a key of the table (or a misspelling of
+# one) in a section of the table (or a misspelt, unknown or [DEFAULT] one);
+# values are of every type, plus ones no reader accepts.
+_VALUES = [
+    "", "0", "1", "-3", "2.5", "64", "100", "1e300", "1e-200", "nan", "inf", "-inf",
+    "%", "50%.pgm", "%(left)s", "l\0.pgm", "maybe", "yes", "no", "plane", "box", "left", "right",
+    "l.pgm", "cams.ini", "c.ini", ".", "1 0 7.5  0 1 7.5  0 0 1", "1 0 0 0  0 1 0 0  0 0 1 0",
+    "1 0 0 4  0 1 0 0  0 0 1 0", "1 2 3",
+]
+
+
+def _sections_of(text: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+_BASES = [
+    _sections_of(SMALL_SCENE),
+    _sections_of(IMPORT_CONFIG + "[camera]\nfocal = 100\nbaseline = 4\n"),
+    _sections_of(IMPORT_CONFIG.replace("camera_file = cams.ini\n", "") + CAMERA_FILE),
+]
+
+
+def _misspelt(word: str):
+    return st.sampled_from([word, word, word, word.capitalize(), word[:-1], word + "s"])
+
+
+@st.composite
+def config_texts(draw) -> str:
+    values = st.sampled_from(_VALUES) | st.floats().map(repr) | st.text(
+        st.characters(blacklist_categories=("Cc", "Cs")), max_size=6
+    )
+    sections = {name: dict(keys) for name, keys in draw(st.sampled_from(_BASES)).items()}
+    names = [*cli._SECTIONS, "primitive.back", "primitive.new", "DEFAULT", "bogus"]
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(_misspelt(draw(st.sampled_from(names))))
+        keys = sorted(cli._SECTIONS.get(name, table_keys()))
+        key = draw(_misspelt(draw(st.sampled_from(keys))))
+        if draw(st.integers(0, 3)):
+            sections.setdefault(name, {})[key] = draw(values)
+        else:
+            sections.get(name, {}).pop(key, None)
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    """A directory holding maps and a camera file that config values may name."""
+    return write_import_config(tmp_path_factory.mktemp("property")).parent
+
+
+class TestConfigProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(text=config_texts())
+    def test_load_returns_or_exits_2(self, config_dir, text):
+        path = config_dir / "c.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except errors.DepthPocsError as exc:
+            assert exc.exit_code == 2, exc
+            return
+        assert (cfg.scene is None) != (cfg.inputs is None)
 
 
 class TestRunVerb:
@@ -407,7 +639,7 @@ class TestSweep:
 
 
 # README's exit-code table: 2 invalid configuration, 3 I/O failure
-# (missing or malformed files), 4 numerical failure.
+# (missing or malformed files), 4 numerical failure (or too little memory).
 README_EXIT_CODES = {
     "ConfigError": 2,
     "InvalidConfigurationError": 2,
@@ -420,6 +652,7 @@ README_EXIT_CODES = {
     "CorruptDescriptionError": 4,
     "NumericalError": 4,
     "FloatingPointError": 4,
+    "MemoryError": 4,
 }
 
 
@@ -430,7 +663,7 @@ class TestExitCodes:
             (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)),
             key=lambda c: c.__name__,
         )
-        + [OSError, FloatingPointError],
+        + [OSError, FloatingPointError, MemoryError],
         ids=lambda c: c.__name__,
     )
     def test_each_error_class_has_its_documented_code(self, monkeypatch, capsys, error):

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpocs import codec
 from depthpocs.errors import CorruptDescriptionError, InvalidInputError
@@ -327,3 +329,28 @@ class TestQdmContainer:
         raw = self._desc().to_bytes()
         with pytest.raises(CorruptDescriptionError):
             codec.QuantizedDescription.from_bytes(raw + b"xx")
+
+
+@st.composite
+def _qdm_like(draw):
+    """QDM1 magic, a header of small sizes, a table of any or of valid steps,
+    then the index payload the sizes ask for, give or take a few bytes."""
+    size = st.integers(0, 26) | st.sampled_from([8, 16])
+    width, height = draw(size), draw(size)
+    orig = (draw(st.integers(0, 26) | st.just(width)), draw(st.integers(0, 26) | st.just(height)))
+    steps = draw(st.sampled_from([st.floats(), st.floats(0.5, 255.0)]))
+    table = np.array(draw(st.lists(steps, min_size=64, max_size=64)), "<f8").tobytes()
+    payload = max((width // 8) * (height // 8) * 64 * 4 + draw(st.integers(-3, 3)), 0)
+    head = b"QDM1" + struct.pack("<4I", width, height, *orig)
+    return head + table + draw(st.binary(min_size=payload, max_size=payload))
+
+
+class TestQdmArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=600), _qdm_like()))
+    def test_from_bytes_returns_or_raises_corrupt_description(self, data):
+        try:
+            desc = codec.QuantizedDescription.from_bytes(data)
+        except CorruptDescriptionError:
+            return
+        assert desc.to_bytes() == data

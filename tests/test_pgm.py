@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthpocs.errors import PgmFormatError
 from depthpocs.pgm import read_pgm, write_pgm
@@ -77,3 +79,23 @@ class TestParsing:
         p.write_bytes(b"P5\ntwo 2\n255\n" + bytes(4))
         with pytest.raises(PgmFormatError):
             read_pgm(p)
+
+
+# A P5 header with small or out-of-range fields, then a payload of any length.
+_HEADED = st.builds(
+    lambda w, h, maxval, payload: f"P5\n{w} {h}\n{maxval}\n".encode() + payload,
+    st.integers(-2, 12), st.integers(-2, 12), st.integers(-1, 70000), st.binary(max_size=300),
+)
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=300), _HEADED))
+    def test_read_returns_or_raises_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.pgm"
+        path.write_bytes(data)
+        try:
+            m = read_pgm(path)
+        except PgmFormatError:
+            return
+        assert m.dtype == np.float64 and m.ndim == 2

@@ -96,6 +96,10 @@ class TestRendering:
         with pytest.raises(InvalidSceneError):
             generate_scene(spec_with([Plane(0.0, 0.0, 300.0, ripple=False)]))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSceneError, match="seed"):
+            generate_scene(demo_scene(seed=-1))
+
     def test_needs_primitives(self):
         with pytest.raises(InvalidSceneError):
             generate_scene(spec_with([]))
