@@ -10,19 +10,21 @@ Each piece of the pipeline is built in one place. _read_sections reads
 every config section, the camera file's too, through one table: _SECTIONS,
 and _PRIMITIVES per [primitive.*] type, give each key its value reader and
 say whether it is required. A section or key they do not list is a
-ConfigError. Step tables come from _step_table, cameras from
-RunConfig.camera_pair (the config and a map shape), the truth pair from
-resolve_inputs, the protocol from run_protocol and report.csv from
+ConfigError. Step tables come from _step_table; the truth pair and its
+cameras from resolve_inputs, which takes the cameras from generate_scene in
+scene mode and from RunConfig.camera_pair (the config and a map shape) in
+import mode; the protocol from run_protocol and report.csv from
 write_report_csv. `sweep` renders the scene, or reads the [inputs] maps,
 once and runs the protocol on those arrays for every step. `refine` needs
 only the two descriptions and the config's camera sections: it takes the
 map shape from the descriptions and neither renders [scene] nor reads the
 [inputs] maps.
 
-Reported PSNRs are computed on values rounded to 8-bit levels so the
-numbers match what a user would measure on the written PGM artifacts;
-exit codes: 0 ok, 2 invalid configuration, 3 I/O failure, 4 numerical
-failure or too little memory.
+run, sweep and refine report PSNRs on maps rounded to 8-bit levels, with
+or without --pgm16, so the numbers match what a user would measure on
+8-bit PGMs of the maps. evaluate scores the maps as read: 16-bit files
+keep their fractions of a level. Exit codes: 0 ok, 2 invalid
+configuration, 3 I/O failure, 4 numerical failure or too little memory.
 """
 
 from __future__ import annotations
@@ -41,15 +43,14 @@ import numpy as np
 from . import __version__
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
 from .errors import ConfigError, DepthPocsError, InvalidInputError, InvalidParameterError
-from .geometry import CameraParams, RectifiedPair, simple_camera
+from .geometry import CameraParams, RectifiedPair, principal_point, simple_camera
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
-from .pocs import IterationReport, RefineOptions, _keep_freed_memory, refine
+from .pocs import VIEWS, IterationReport, RefineOptions, _keep_freed_memory, refine
 from .scene import Box, Plane, SceneSpec, generate_scene
 from .warp import bilateral_filter
 
 CSV_HEADER = "iter,view,psnr_left,psnr_right,g,mean_change,clip_fraction"
-VIEWS = ("left", "right")
 
 
 @dataclass
@@ -67,10 +68,8 @@ class RunConfig:
         """The cameras for maps of `shape`; a missing cx/cy is the image centre."""
         if self.cameras is not None:
             return self.cameras
-        height, width = shape
         focal, baseline = self.camera["focal"], self.camera["baseline"]
-        cx = self.camera.get("cx", (width - 1) / 2.0)
-        cy = self.camera.get("cy", (height - 1) / 2.0)
+        cx, cy = principal_point(shape, self.camera.get("cx"), self.camera.get("cy"))
         return RectifiedPair(
             simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
         )
@@ -260,14 +259,11 @@ def resolve_inputs(config: RunConfig) -> Inputs:
     """Render the scene or read the [inputs] maps; done once per command."""
     if config.scene is not None:
         gen = generate_scene(config.scene)
-        left, right, masks = gen.left, gen.right, (gen.mask_left, gen.mask_right)
-    else:
-        left, right, masks = *map(read_pgm, config.inputs), None
-        if left.shape != right.shape:
-            raise ConfigError(
-                f"input maps disagree in size: {left.shape} vs {right.shape}"
-            )
-    return Inputs(left, right, config.camera_pair(left.shape), masks)
+        return Inputs(gen.left, gen.right, gen.cameras, (gen.mask_left, gen.mask_right))
+    left, right = map(read_pgm, config.inputs)
+    if left.shape != right.shape:
+        raise ConfigError(f"input maps disagree in size: {left.shape} vs {right.shape}")
+    return Inputs(left, right, config.camera_pair(left.shape), None)
 
 
 def _write_truth(outdir: Path, inputs: Inputs, deep: bool) -> None:

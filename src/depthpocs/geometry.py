@@ -67,6 +67,14 @@ def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> Camera
     return CameraParams(k, e)
 
 
+def principal_point(
+    shape: tuple[int, int], cx: float | None = None, cy: float | None = None
+) -> tuple[float, float]:
+    """(cx, cy) for maps of shape (height, width); one not given is the image centre."""
+    height, width = shape
+    return (width - 1) / 2.0 if cx is None else cx, (height - 1) / 2.0 if cy is None else cy
+
+
 def is_rectified(a: CameraParams, b: CameraParams) -> bool:
     """True when the two views share K and R and differ only in x-translation."""
     if np.max(np.abs(a.k - b.k)) > _RECTIFIED_TOL:

@@ -59,6 +59,8 @@ from .geometry import CameraParams, require_rectified
 from .metrics import psnr
 from .warp import check_sigma, project_view
 
+VIEWS = ("left", "right")
+
 
 @dataclass
 class RefineOptions:
@@ -71,7 +73,6 @@ class RefineOptions:
     sigma_r: float = 10.0
     radius: int = 3
     start: str = "left"
-    keep_best: bool = False
 
     def __post_init__(self):
         for name in ("max_iters", "radius"):
@@ -82,7 +83,7 @@ class RefineOptions:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.eps >= 0:
             raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
-        if self.start not in ("left", "right"):
+        if self.start not in VIEWS:
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
         if self.radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
@@ -115,10 +116,6 @@ class IterationReport:
     entries: list[ReportEntry] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    best_g: float | None = None
-    best_index: int | None = None
-    best_left: np.ndarray | None = None
-    best_right: np.ndarray | None = None
 
 
 # Least work refine gives a stripe, in pixel-iterations: rows x columns x
@@ -396,64 +393,54 @@ def refine(
     """Alternate cross-view projection and bin clipping until convergence.
 
     Both views start from the centroid decode. Each iteration updates the
-    second view from the first, then the first from the second; it stops
-    once both half-iteration changes are <= options.eps or after
-    options.max_iters iterations. Returned maps are clamped to [0, 255].
+    view other than options.start from options.start, then options.start
+    from the other; it stops once both half-iteration changes are
+    <= options.eps or after options.max_iters iterations. Returned maps
+    are clamped to [0, 255].
 
     ground_truth, when given as (left, right), enables the PSNR trace in
-    the report and, with options.keep_best, retains the best iterate seen
-    (the converged point is not necessarily the best one). The trace's
-    PSNRs are taken on maps rounded to 8-bit levels, as report.csv prints
-    them.
+    the report. The trace's PSNRs are taken on maps rounded to 8-bit
+    levels, as report.csv prints them.
     """
     opts = options if options is not None else RefineOptions()
     require_rectified(left_cam, right_cam)
-    left = decode_map(left_desc)
-    right = decode_map(right_desc)
-    require_same_shape(left, right, "decoded views")
+    descs = (left_desc, right_desc)
+    cams = (left_cam, right_cam)
+    maps = [decode_map(desc) for desc in descs]
+    require_same_shape(*maps, "decoded views")
 
-    truth_l = truth_r = None
+    truths = None
     if ground_truth is not None:
-        truth_l = as_map(ground_truth[0], "left truth")
-        truth_r = as_map(ground_truth[1], "right truth")
-        require_same_shape(truth_l, left, "left truth")
-        require_same_shape(truth_r, right, "right truth")
+        truths = [as_map(t, f"{view} truth") for view, t in zip(VIEWS, ground_truth)]
+        for i, view in enumerate(VIEWS):
+            require_same_shape(truths[i], maps[i], f"{view} truth")
 
-    delta_max = float(max(np.max(left_desc.table), np.max(right_desc.table)))
+    delta_max = float(max(np.max(desc.table) for desc in descs))
     limit_lo = -4.0 * delta_max
     limit_hi = 255.0 + 4.0 * delta_max
 
     report = IterationReport()
-    order = ("right", "left") if opts.start == "left" else ("left", "right")
-    count = _stripe_count(*left.shape, opts.max_iters)
+    first = VIEWS.index(opts.start)  # the source of each iteration's first half
+    count = _stripe_count(*maps[0].shape, opts.max_iters)
 
-    with _Stripes((left_desc, right_desc), left.shape, count) as stripes:
-        scores: dict[str, float] = {}  # each view's PSNR after its last update
+    with _Stripes(descs, maps[0].shape, count) as stripes:
+        scores = [None, None]  # each view's PSNR after its last update
         for it in range(1, opts.max_iters + 1):
             changes = []
-            for view in order:
-                if view == "right":
-                    right, stats = half_iteration(
-                        left, left_cam, right_cam, right_desc, right, opts, stripes=stripes
-                    )
-                else:
-                    left, stats = half_iteration(
-                        right, right_cam, left_cam, left_desc, left, opts, stripes=stripes
-                    )
-                _sanity_bound((left, right), limit_lo, limit_hi, f"iteration {it} ({view})")
-                entry = ReportEntry(it, view, stats.mean_change, stats.clip_fraction)
-                if truth_l is not None:
+            for src in (first, 1 - first):
+                dst = 1 - src
+                maps[dst], stats = half_iteration(
+                    maps[src], cams[src], cams[dst], descs[dst], maps[dst], opts, stripes=stripes
+                )
+                _sanity_bound(maps, limit_lo, limit_hi, f"iteration {it} ({VIEWS[dst]})")
+                entry = ReportEntry(it, VIEWS[dst], stats.mean_change, stats.clip_fraction)
+                if truths is not None:
                     # Only the updated view changed; the other keeps its PSNR.
-                    for name, m, truth in (("left", left, truth_l), ("right", right, truth_r)):
-                        if name == view or name not in scores:
-                            scores[name] = psnr(m, truth, round_to_int=True)
-                    entry.psnr_left, entry.psnr_right = scores["left"], scores["right"]
-                    entry.g = (entry.psnr_left + entry.psnr_right) / 2.0
-                    if opts.keep_best and (report.best_g is None or entry.g > report.best_g):
-                        report.best_g = entry.g
-                        report.best_index = len(report.entries) + 1
-                        report.best_left = np.clip(left, 0.0, 255.0)
-                        report.best_right = np.clip(right, 0.0, 255.0)
+                    for i in (0, 1):
+                        if i == dst or scores[i] is None:
+                            scores[i] = psnr(maps[i], truths[i], round_to_int=True)
+                    entry.psnr_left, entry.psnr_right = scores
+                    entry.g = (scores[0] + scores[1]) / 2.0
                 report.entries.append(entry)
                 changes.append(stats.mean_change)
             report.iterations = it
@@ -461,5 +448,5 @@ def refine(
                 report.converged = True
                 break
 
-    return np.clip(left, 0.0, 255.0), np.clip(right, 0.0, 255.0), report
-
+    left, right = (np.clip(m, 0.0, 255.0) for m in maps)
+    return left, right, report

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSceneError
-from .geometry import RectifiedPair, simple_camera
+from .geometry import RectifiedPair, principal_point, simple_camera
 
 _RIPPLE_WAVES = 3
 _PLANE_SOLVE_ITERS = 8
@@ -60,9 +60,7 @@ class SceneSpec:
     noise_amp: float = 0.0
 
     def principal_point(self) -> tuple[float, float]:
-        cx = (self.width - 1) / 2.0 if self.cx is None else self.cx
-        cy = (self.height - 1) / 2.0 if self.cy is None else self.cy
-        return cx, cy
+        return principal_point((self.height, self.width), self.cx, self.cy)
 
 
 @dataclass
@@ -166,11 +164,12 @@ def _visibility_mask(
 ) -> np.ndarray:
     # A pixel is flagged visible when its projection into the other view
     # lands inside the image and a one-pixel guard band around the landing
-    # column sees the same primitive there.
+    # column sees the same primitive there. Clipped to [-2, w], every band
+    # that leaves the image still does, and the cast stays inside int64.
     h, w = depth.shape
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
     other_col = cols + spec.focal * (other_tx - tx) / depth
-    base = np.floor(other_col).astype(np.int64)
+    base = np.floor(np.clip(other_col, -2, w, out=other_col)).astype(np.int64)
     mask = np.ones(depth.shape, dtype=bool)
     for off in (-1, 0, 1, 2):
         n = base + off
@@ -194,17 +193,18 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     if spec.seed < 0:
         raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
     cx, cy = spec.principal_point()
-    ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
     tx_l = 0.0
     tx_r = float(spec.baseline)
-    left, prim_l = _render_view(spec, tx_l, ripple)
-    right, prim_r = _render_view(spec, tx_r, ripple)
-    mask_l = _visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r)
-    mask_r = _visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l)
+    # First, so that a camera that is not finite fails before rendering.
     cameras = RectifiedPair(
         simple_camera(spec.focal, cx, cy, tx_l),
         simple_camera(spec.focal, cx, cy, tx_r),
     )
+    ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
+    left, prim_l = _render_view(spec, tx_l, ripple)
+    right, prim_r = _render_view(spec, tx_r, ripple)
+    mask_l = _visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r)
+    mask_r = _visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l)
     return GeneratedScene(left, right, mask_l, mask_r, cameras)
 
 

@@ -4,7 +4,9 @@ CSV schema, determinism, exit codes, and the names the benchmark wraps."""
 import configparser
 import importlib.util
 import inspect
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from depthpocs import cli, errors
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
 from depthpocs.errors import ConfigError
+from depthpocs.metrics import quality_g
 from depthpocs.pgm import read_pgm, write_pgm
 
 SMALL_SCENE = """
@@ -474,6 +477,27 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "error" in err and option.split()[0] in err
 
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ("baseline = 6.0\n", "baseline = 6.0\ncx = 1e300\n", 0),
+            ("baseline = 6.0\n", "baseline = 6.0\ncy = -1e300\n", 0),
+            ("focal = 120.0\nbaseline = 6.0\n", "focal = inf\nbaseline = 0\n", 2),
+        ],
+        ids=["cx-far", "cy-far", "focal-inf"],
+    )
+    def test_far_or_infinite_camera_warns_nothing(self, tmp_path, old, new, code):
+        # A principal point far off the image lands every pixel far outside
+        # the other view; a camera that is not finite exits 2 before rendering.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE.replace(old, new))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(cfg), "-o", str(out)]) == code
+        if code:
+            assert not out.exists()
+
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(small_cfg), "-o", str(out1)]) == 0
@@ -533,6 +557,26 @@ class TestPieceWiseVerbs:
         assert "g=" in out
         assert (tmp_path / "ev" / "err_left.pgm").is_file()
 
+    def test_evaluate_scores_16bit_maps_unrounded(self, tmp_path, capsys):
+        # 16-bit PGMs keep fractions of a level; evaluate does not round them
+        # away (rounded, both maps would equal their references: g = inf).
+        ref = np.full((16, 16), 100.0)
+        ref[:, 8:] = 140.0
+        paths = {}
+        for name, m in (("ref", ref), ("left", ref + 0.25), ("right", ref - 0.375)):
+            paths[name] = tmp_path / f"{name}.pgm"
+            write_pgm(paths[name], m, deep=True)
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--left", str(paths["left"]), "--right", str(paths["right"]),
+            "--ref-left", str(paths["ref"]), "--ref-right", str(paths["ref"]),
+        ]) == 0
+        score = quality_g(ref + 0.25, ref - 0.375, ref, ref)
+        assert math.isfinite(score.g)
+        assert capsys.readouterr().out.strip() == (
+            f"psnr_left={score.psnr_left:.6f} psnr_right={score.psnr_right:.6f} g={score.g:.6f}"
+        )
+
     def test_compress_rejects_both_tables(self, small_cfg, tmp_path, capsys):
         gdir = tmp_path / "gen"
         main(["generate", str(small_cfg), "-o", str(gdir)])
@@ -579,8 +623,8 @@ class TestPieceWiseVerbs:
         assert not out.exists()
 
     def test_refine_matches_run(self, small_cfg, tmp_path):
-        # refine builds its cameras from the descriptions' shape, run from
-        # the rendered truth; on the same scene they must agree exactly.
+        # refine builds its cameras from the config and the descriptions'
+        # shape, run takes generate_scene's; they must agree exactly.
         run_out, ref_out = tmp_path / "run", tmp_path / "ref"
         assert main(["run", str(small_cfg), "-o", str(run_out)]) == 0
         assert main([

@@ -181,10 +181,12 @@ class TestRefine:
             assert e.mean_change >= 0.0
             assert e.psnr_left is None  # no ground truth supplied
 
-    def test_trace_recorded_with_truth(self, monkeypatch):
+    @pytest.mark.parametrize("start", ["left", "right"])
+    def test_trace_recorded_with_truth(self, monkeypatch, start):
         gen = generate_scene(small_scene())
         table = flat_table(24.0)
-        dl, dr = encode_map(gen.left, table), encode_map(gen.right, table)
+        descs = {"left": encode_map(gen.left, table), "right": encode_map(gen.right, table)}
+        truths = {"left": gen.left, "right": gen.right}
         calls = []
 
         def counted(*args, **kwargs):
@@ -192,30 +194,24 @@ class TestRefine:
             return psnr(*args, **kwargs)
 
         monkeypatch.setattr(pocs, "psnr", counted)
-        opts = RefineOptions(max_iters=3)
+        opts = RefineOptions(max_iters=3, start=start)
         left, right, report = refine(
-            dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right)
+            descs["left"], descs["right"], gen.cameras.left, gen.cameras.right, opts,
+            (gen.left, gen.right),
         )
+        other = "right" if start == "left" else "left"
+        assert [e.view for e in report.entries] == [other, start] * report.iterations
         for e in report.entries:
             assert e.psnr_left is not None and e.psnr_right is not None
             assert e.g == pytest.approx((e.psnr_left + e.psnr_right) / 2.0)
-        # One PSNR per half-iteration, of the view it updated, and the other
-        # view's once at the start; the carried values are the final maps'.
+        # One PSNR per half-iteration, of the view it updated, and the start
+        # view's once, of its centroid decode, which the first entry carries.
         assert len(calls) == len(report.entries) + 1
+        start_psnr = psnr(decode_map(descs[start]), truths[start], round_to_int=True)
+        assert getattr(report.entries[0], f"psnr_{start}") == start_psnr
+        # The carried values are the final maps'.
         assert report.entries[-1].psnr_left == psnr(left, gen.left, round_to_int=True)
         assert report.entries[-1].psnr_right == psnr(right, gen.right, round_to_int=True)
-
-    def test_keep_best_tracks_peak(self):
-        gen = generate_scene(small_scene())
-        table = flat_table(24.0)
-        dl, dr = encode_map(gen.left, table), encode_map(gen.right, table)
-        opts = RefineOptions(max_iters=4, keep_best=True)
-        _, _, report = refine(
-            dl, dr, gen.cameras.left, gen.cameras.right, opts, (gen.left, gen.right)
-        )
-        assert report.best_g == max(e.g for e in report.entries)
-        assert report.best_left is not None and report.best_right is not None
-        assert 1 <= report.best_index <= len(report.entries)
 
     def test_start_order_flag(self):
         gen = generate_scene(small_scene())
