@@ -40,7 +40,7 @@ from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from ._common import as_map, require_same_shape
+from ._common import as_map, fork_cpus, require_same_shape
 from .codec import (
     BLOCK,
     BinConstraints,
@@ -134,13 +134,7 @@ def _stripe_count(height: int, width: int, max_iters: int) -> int:
     One per CPU this process may run on, while each carries at least
     _MIN_STRIPE_WORK pixel-iterations; one where os.fork does not exist.
     """
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, height * width * max_iters // _MIN_STRIPE_WORK))
+    return max(1, min(fork_cpus(), height * width * max_iters // _MIN_STRIPE_WORK))
 
 
 def _stripe_rows(height: int, count: int) -> list[tuple[int, int]]:

@@ -5,7 +5,9 @@ import configparser
 import importlib.util
 import inspect
 import math
+import os
 import re
+import signal
 import warnings
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpocs import cli, errors
+from depthpocs import cli, errors, scene
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
 from depthpocs.errors import ConfigError
 from depthpocs.metrics import quality_g
@@ -478,25 +480,66 @@ class TestRunVerb:
         assert "error" in err and option.split()[0] in err
 
     @pytest.mark.parametrize(
-        "old, new, code",
+        "old, new",
         [
-            ("baseline = 6.0\n", "baseline = 6.0\ncx = 1e300\n", 0),
-            ("baseline = 6.0\n", "baseline = 6.0\ncy = -1e300\n", 0),
-            ("focal = 120.0\nbaseline = 6.0\n", "focal = inf\nbaseline = 0\n", 2),
+            ("baseline = 6.0\n", "baseline = 6.0\ncx = 1e300\n"),
+            ("baseline = 6.0\n", "baseline = 6.0\ncy = -1e300\n"),
+            ("focal = 120.0\nbaseline = 6.0\n", "focal = inf\nbaseline = 0\n"),
         ],
         ids=["cx-far", "cy-far", "focal-inf"],
     )
-    def test_far_or_infinite_camera_warns_nothing(self, tmp_path, old, new, code):
+    def test_far_or_infinite_camera_warns_nothing(self, tmp_path, capsys, old, new):
         # A principal point far off the image lands every pixel far outside
-        # the other view; a camera that is not finite exits 2 before rendering.
+        # the other view, so the views share no cleanly visible pixel; a
+        # camera that is not finite exits 2 before rendering.
         cfg = tmp_path / "c.ini"
         cfg.write_text(SMALL_SCENE.replace(old, new))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["run", str(cfg), "-o", str(out)]) == code
-        if code:
-            assert not out.exists()
+            assert main(["run", str(cfg), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "fault, code, message",
+        [
+            ("right-view-gap", 2, "error: 256 pixels not covered by any primitive\n"),
+            ("child-killed", 4, "error: scene render process exited without a reply\n"),
+            ("child-memory", 4, "error: injected\n"),
+        ],
+        ids=["right-view-gap", "child-killed", "child-memory"],
+    )
+    def test_fault_in_forked_render_exits_with_its_code(
+        self, tmp_path, monkeypatch, capsys, fault, code, message
+    ):
+        # Two CPUs, so that the right view renders in a forked child.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        text = CONSTANT_SCENE
+        if fault == "right-view-gap":
+            # The box fills the left view; the right view's first 8 columns miss it.
+            wall = "type = plane\na = 0.0\nb = 0.0\nc = 100.0\nripple = no\n"
+            box = "type = box\nx0 = -8.0\nx1 = 50.0\ny0 = -50.0\ny1 = 50.0\ndepth = 50.0\n"
+            assert wall in text
+            text = text.replace(wall, box)
+        else:
+            parent = os.getpid()
+            render_view = scene._render_view
+
+            def render(*args):
+                if os.getpid() != parent:
+                    if fault == "child-killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise MemoryError("injected")
+                return render_view(*args)
+
+            monkeypatch.setattr(scene, "_render_view", render)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "-o", str(out)]) == code
+        assert not out.exists()
+        assert capsys.readouterr().err == message
 
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,10 +1,17 @@
 """Scene generator tests: closed-form surface oracles, cross-view
-consistency of the rendered pair, disocclusion structure, and errors."""
+consistency of the rendered pair, disocclusion structure, errors, and the
+forked render of the right view against one view at a time."""
+
+import functools
+import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from depthpocs.errors import InvalidSceneError
+from depthpocs import scene
+from depthpocs.errors import DepthPocsError, InvalidSceneError
 from depthpocs.geometry import is_rectified
 from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 from depthpocs.warp import project_view
@@ -108,6 +115,18 @@ class TestRendering:
         with pytest.raises(InvalidSceneError):
             generate_scene(spec_with(["sphere"]))
 
+    @pytest.mark.parametrize("cx, cy", [(1e300, None), (None, -1e300), (1e6, None)])
+    def test_views_sharing_no_visible_pixel_rejected(self, cx, cy):
+        # A principal point far off the image sends every pixel ray far to
+        # one side: both visibility masks are empty (with cx = 1e6 every
+        # depth is about 0.185, inside the allowed range).
+        spec = demo_scene(64, 64)
+        spec.cx, spec.cy = cx, cy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidSceneError, match="no pixel cleanly"):
+                generate_scene(spec)
+
 
 class TestConsistency:
     def test_warped_left_truth_matches_right_truth(self):
@@ -157,3 +176,175 @@ class TestSclight:
         gen = generate_scene(demo_scene())
         for m in (gen.left, gen.right):
             assert np.min(m) > 0.0 and np.max(m) <= 255.0
+
+
+def offgrid_scene() -> SceneSpec:
+    """The bundled scene at 501x373 with focal 235 and its box at depth 61.7."""
+    spec = demo_scene(501, 373)
+    spec.focal = 235.0
+    spec.primitives[2] = Box(x0=-20.3, x1=52.7, y0=-40.1, y1=30.3, depth=61.7)
+    return spec
+
+
+def off_centre_scene() -> SceneSpec:
+    spec = demo_scene()
+    spec.cx, spec.cy = 96.5, 160.25
+    return spec
+
+
+def flat_scene() -> SceneSpec:
+    spec = demo_scene()
+    spec.noise_amp = 0.0
+    return spec
+
+
+def one_view_at_a_time(spec: SceneSpec) -> tuple[np.ndarray, ...]:
+    """Oracle: left then right view in this process, then both masks."""
+    ripple = scene._Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
+    tx_l, tx_r = 0.0, float(spec.baseline)
+    left, prim_l = scene._render_view(spec, tx_l, ripple)
+    right, prim_r = scene._render_view(spec, tx_r, ripple)
+    return (
+        left,
+        right,
+        scene._visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r),
+        scene._visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l),
+    )
+
+
+SCENES = {
+    "demo": demo_scene,
+    "offgrid": offgrid_scene,
+    "off-centre": off_centre_scene,
+    "flat": flat_scene,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_for(name: str) -> tuple[np.ndarray, ...]:
+    return one_view_at_a_time(SCENES[name]())
+
+
+@pytest.fixture(params=["fork", "no-fork", "one-cpu"])
+def render_mode(request, monkeypatch):
+    """How generate_scene may render; yields the forks it must make per call.
+
+    "fork" grants two CPUs, so the right view renders in a child; "no-fork"
+    removes os.fork; "one-cpu" grants one CPU, where calling os.fork fails
+    the test.
+    """
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    if request.param == "no-fork":
+        monkeypatch.delattr(os, "fork")
+        yield forks, 0
+        return
+    cpus = {0, 1} if request.param == "fork" else {0}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork if request.param == "fork" else no_fork)
+    yield forks, 1 if request.param == "fork" else 0
+
+
+@pytest.fixture
+def no_fd_leaked():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list open descriptors")
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+def fault_in_render(monkeypatch, fault, in_child=True):
+    """Grant two CPUs and make the forked child's render (or the parent's) call fault()."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    render_view = scene._render_view
+
+    def render(*args):
+        if (os.getpid() != parent) == in_child:
+            fault()
+        return render_view(*args)
+
+    monkeypatch.setattr(scene, "_render_view", render)
+
+
+class TestForkedRender:
+    @pytest.mark.parametrize("name", SCENES)
+    def test_byte_identical_to_one_view_at_a_time(self, render_mode, name):
+        expected = oracle_for(name)
+        forks, per_call = render_mode
+        gen = generate_scene(SCENES[name]())
+        assert len(forks) == per_call
+        got = (gen.left, gen.right, gen.mask_left, gen.mask_right)
+        for what, a, b in zip(("left", "right", "mask_left", "mask_right"), got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape, what
+            assert a.tobytes() == b.tobytes(), what
+
+    def test_failure_in_forked_view_has_serial_message(self, render_mode, no_fd_leaked):
+        # The box covers the left view's every ray; shifted by the baseline,
+        # the right view's first 18 columns miss it.
+        spec = spec_with([Box(-14.0, 100.0, -50.0, 50.0, 50.0)])
+        assert np.isfinite(scene._render_view(spec, 0.0, None)[0]).all()
+        with pytest.raises(InvalidSceneError) as serial:
+            one_view_at_a_time(spec)
+        assert str(serial.value) == "1152 pixels not covered by any primitive"
+        forks, per_call = render_mode
+        with pytest.raises(InvalidSceneError) as got:
+            generate_scene(spec)
+        assert len(forks) == per_call
+        assert str(got.value) == str(serial.value)
+
+    def test_child_dying_without_reply_raises(self, monkeypatch, no_fd_leaked):
+        fault_in_render(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(DepthPocsError, match="without a reply"):
+            generate_scene(demo_scene(64, 64))
+
+    def test_memory_error_in_child_raised_as_memory_error(self, monkeypatch, no_fd_leaked):
+        def fail():
+            raise MemoryError("injected")
+
+        fault_in_render(monkeypatch, fail)
+        with pytest.raises(MemoryError, match="^injected$"):
+            generate_scene(demo_scene(64, 64))
+
+    def test_other_error_in_child_raised_as_depthpocs_error(self, monkeypatch, no_fd_leaked):
+        def fail():
+            raise RuntimeError("injected")
+
+        fault_in_render(monkeypatch, fail)
+        with pytest.raises(DepthPocsError, match="RuntimeError: injected"):
+            generate_scene(demo_scene(64, 64))
+
+    def test_interrupt_in_parent_ends_child(self, monkeypatch, no_fd_leaked):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        fault_in_render(monkeypatch, interrupt, in_child=False)
+        with pytest.raises(KeyboardInterrupt):
+            generate_scene(demo_scene(64, 64))
+
+    @pytest.mark.parametrize("failing", ["mmap", "fork"])
+    def test_no_memory_or_process_to_spare_renders_in_turn(
+        self, monkeypatch, no_fd_leaked, failing
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def fail(*args):
+            raise OSError(f"no {failing} to spare")
+
+        if failing == "mmap":
+            monkeypatch.setattr(scene.mmap, "mmap", fail)
+        else:
+            monkeypatch.setattr(os, "fork", fail)
+        spec = demo_scene(64, 64)
+        gen = generate_scene(spec)
+        got = (gen.left, gen.right, gen.mask_left, gen.mask_right)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, one_view_at_a_time(spec)))
