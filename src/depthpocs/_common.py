@@ -1,12 +1,15 @@
-"""Small shared helpers: input validation and the CPU rule for forking."""
+"""Small shared helpers: input validation, the CPU rule for forking, and
+the forked process that both fork sites use."""
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DepthPocsError, InvalidInputError
 
 
 def as_map(a, name: str = "map") -> np.ndarray:
@@ -37,3 +40,87 @@ def fork_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+class Forked:
+    """A forked child process that answers each request with serve(*request).
+
+    send pickles a request into one pipe; receive returns the reply to the
+    oldest request not yet received, from another. An error serve raises
+    in the child is raised by receive: a DepthPocsError or MemoryError as
+    it is, anything else as DepthPocsError("{what} failed: {type}: {msg}").
+    A child that ends without a reply gives "{what} exited without a
+    reply", a request to a child that has ended "{what} exited early".
+    The constructor raises OSError where no pipe or process can be had.
+    close kills and reaps the child, idle, busy or ended; call it once.
+
+    numpy starts OpenBLAS's thread pool on import, but OpenBLAS stops it
+    in a pthread_atfork handler, so the child and the parent each have one
+    thread right after the fork (Linux, numpy 2.4, OpenBLAS 0.3.31); the
+    pool starts again at the next BLAS call. Python 3.12, which warns of a
+    fork with threads, counts them in the parent after the fork.
+    """
+
+    def __init__(self, serve, what: str):
+        self.what = what
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        requests, to_child, from_child, replies = fds
+        if self.pid == 0:
+            try:
+                os.close(to_child)
+                os.close(from_child)
+                _serve(serve, what, open(requests, "rb"), open(replies, "wb"))
+            finally:
+                os._exit(0)
+        os.close(requests)
+        os.close(replies)
+        self.requests = open(to_child, "wb")
+        self.replies = open(from_child, "rb")
+
+    def send(self, *request) -> None:
+        try:
+            self.requests.write(pickle.dumps(request))
+            self.requests.flush()
+        except BrokenPipeError:
+            raise DepthPocsError(f"{self.what} exited early") from None
+
+    def receive(self):
+        try:
+            result, error = pickle.load(self.replies)
+        except EOFError:
+            raise DepthPocsError(f"{self.what} exited without a reply") from None
+        if error is not None:
+            raise error
+        return result
+
+    def close(self) -> None:
+        import signal  # here, so that importing the package does not load it
+
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        for pipe in (self.requests, self.replies):
+            # A request that met a dead child is still buffered; it cannot be flushed.
+            with contextlib.suppress(OSError):
+                pipe.close()
+
+
+def _serve(serve, what: str, requests, replies) -> None:
+    """The child's loop: one reply per request, until the parent's end of the pipe closes."""
+    while True:
+        request = pickle.load(requests)  # EOFError, which ends the child, once the parent is gone
+        try:
+            reply = serve(*request), None
+        except (DepthPocsError, MemoryError) as exc:
+            reply = None, exc
+        except Exception as exc:
+            reply = None, DepthPocsError(f"{what} failed: {type(exc).__name__}: {exc}")
+        replies.write(pickle.dumps(reply))
+        replies.flush()

@@ -17,9 +17,10 @@ around each output row, so warp.project_view computes any range of output
 rows on its own and knows which input rows it reads. Stripes start and end
 on block rows, so each is clipped on its own. refine splits the map into
 one stripe per CPU it may use and forks a worker for every stripe after the
-first, once for the whole loop (see _Stripes). Every output sample is
-computed by the same operations in the same order as in a single stripe,
-so the result does not depend on the number of stripes, bit for bit.
+first, once for the whole loop (see _Stripes); where a worker cannot be
+forked, it runs one stripe. Every output sample is computed by the same
+operations in the same order as in a single stripe, so the result does
+not depend on the number of stripes, bit for bit.
 
 Every stage allocates its arrays afresh with numpy. By default glibc
 hands each large one back to the system when it is freed, so every
@@ -29,18 +30,16 @@ makes the C library keep freed memory for the next half-iteration.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import mmap
 import numbers
-import os
-import pickle
 from dataclasses import dataclass, field
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_map, fork_cpus, require_same_shape
+from ._common import Forked, as_map, fork_cpus, require_same_shape
 from .codec import (
     BLOCK,
     BinConstraints,
@@ -132,7 +131,7 @@ def _stripe_count(height: int, width: int, max_iters: int) -> int:
     """Stripes refine splits a height x width map into for max_iters iterations.
 
     One per CPU this process may run on, while each carries at least
-    _MIN_STRIPE_WORK pixel-iterations; one where os.fork does not exist.
+    _MIN_STRIPE_WORK pixel-iterations; one where the platform cannot fork.
     """
     return max(1, min(fork_cpus(), height * width * max_iters // _MIN_STRIPE_WORK))
 
@@ -169,25 +168,20 @@ def _keep_freed_memory() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-class _Worker(NamedTuple):
-    pid: int
-    commands: BinaryIO
-    replies: BinaryIO
-    rows: tuple[int, int]
-
-
 class _Stripes:
     """The stripes of refine's half-iterations and what they share.
 
     Holds the bin bounds of each description, built once, and the stripes
     of a map of `shape`. A context with more than one stripe forks a
-    worker process for every stripe after the first when it is built; the
-    worker computes that stripe for the context's whole life, while the
-    parent computes the first one. The whole source and target maps travel
-    through anonymous shared memory mapped before the fork, so only
-    project_view knows which rows a stripe reads. Pipes carry the other
-    arguments of each half-iteration to the workers and their clip counts
-    back. Leaving the context ends the workers.
+    worker (a _common.Forked) for every stripe after the first when it is
+    built; the worker computes that stripe for the context's whole life,
+    while the parent computes the first one. The whole source and target
+    maps travel through anonymous shared memory mapped before the fork, so
+    only project_view knows which rows a stripe reads. Each request
+    carries the other arguments of a half-iteration, and each reply a clip
+    count. Where the shared memory, a pipe or a worker cannot be had, the
+    workers already forked end and the context keeps one stripe. Leaving
+    the context ends the workers.
     """
 
     def __init__(self, descs, shape: tuple[int, int], count: int = 1):
@@ -196,15 +190,19 @@ class _Stripes:
         self.descs = tuple(descs)
         self.bounds = [bin_bounds(d.indices, d.table) for d in self.descs]
         self.rows = _stripe_rows(shape[0], count)
-        self.workers: list[_Worker] = []
+        self.workers: list[Forked] = []
         if len(self.rows) > 1:
             h, w = shape
-            buffer = mmap.mmap(-1, 3 * h * w * 8)
-            # Source, target and output maps, seen by the parent and every worker.
-            self.shared = np.frombuffer(buffer, dtype=np.float64).reshape(3, h, w)
             try:
+                buffer = mmap.mmap(-1, 3 * h * w * 8)
+                # Source, target and output maps, seen by the parent and every worker.
+                self.shared = np.frombuffer(buffer, dtype=np.float64).reshape(3, h, w)
                 for rows in self.rows[1:]:
-                    self._fork(rows)
+                    serve = functools.partial(self._stripe, *self.shared, rows=rows)
+                    self.workers.append(Forked(serve, "stripe worker"))
+            except (OSError, OverflowError):  # no shared memory, pipe or process to spare
+                self.close()
+                self.rows = [(0, h)]
             except BaseException:
                 self.close()
                 raise
@@ -215,50 +213,7 @@ class _Stripes:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _fork(self, rows: tuple[int, int]) -> None:
-        cmd_r, cmd_w = os.pipe()
-        rep_r, rep_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (cmd_r, cmd_w, rep_r, rep_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(cmd_w)
-                os.close(rep_r)
-                for worker in self.workers:
-                    worker.commands.close()
-                    worker.replies.close()
-                with open(cmd_r, "rb") as commands, open(rep_w, "wb") as replies:
-                    self._serve(commands, replies, rows)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(cmd_r)
-        os.close(rep_w)
-        self.workers.append(_Worker(pid, open(cmd_w, "wb"), open(rep_r, "rb"), rows))
-
-    def _serve(self, commands: BinaryIO, replies: BinaryIO, rows: tuple[int, int]) -> None:
-        """Worker loop: one stripe per command until the parent closes the pipe."""
-        src, cur, out = self.shared
-        while True:
-            try:
-                index, src_cam, dst_cam, options = pickle.load(commands)
-            except EOFError:
-                return
-            try:
-                reply = self._stripe(index, src, cur, out, src_cam, dst_cam, options, rows), None
-            except Exception as exc:  # reported to the parent, which raises it
-                reply = 0, f"{type(exc).__name__}: {exc}"
-            pickle.dump(reply, replies)
-            replies.flush()
-            if reply[1] is not None:
-                return
-
-    def _stripe(self, index, src, cur, out, src_cam, dst_cam, options, rows) -> int:
+    def _stripe(self, src, cur, out, index, src_cam, dst_cam, options, *, rows) -> int:
         """Write rows [a, b) of the half-iteration's output into out; return its clip count."""
         a, b = rows
         desc, bounds = self.descs[index], self.bounds[index]
@@ -293,38 +248,22 @@ class _Stripes:
             if self.workers:
                 self.shared[0] = src
                 self.shared[1] = cur
-                message = pickle.dumps((index, src_cam, dst_cam, options))
                 for worker in self.workers:
-                    try:
-                        worker.commands.write(message)
-                        worker.commands.flush()
-                    except BrokenPipeError:
-                        raise DepthPocsError("stripe worker exited early") from None
-            n_out = self._stripe(index, src, cur, out, src_cam, dst_cam, options, self.rows[0])
-            for worker in self.workers:
-                try:
-                    count, error = pickle.load(worker.replies)
-                except EOFError:
-                    raise DepthPocsError("stripe worker exited without a reply") from None
-                if error is not None:
-                    raise DepthPocsError(f"stripe worker failed: {error}")
-                a, b = worker.rows
+                    worker.send(index, src_cam, dst_cam, options)
+            n_out = self._stripe(src, cur, out, index, src_cam, dst_cam, options, rows=self.rows[0])
+            for worker, (a, b) in zip(self.workers, self.rows[1:]):
+                n_out += worker.receive()
                 out[a:b] = self.shared[2, a:b]
-                n_out += count
             return out, n_out
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        """End and reap every worker; a context with more than one stripe cannot run again."""
+        """End every worker; a context with more than one stripe cannot run again."""
         workers, self.workers = self.workers, []
         for worker in workers:
-            for pipe in (worker.commands, worker.replies):
-                with contextlib.suppress(OSError):
-                    pipe.close()
-        for worker in workers:
-            os.waitpid(worker.pid, 0)
+            worker.close()
 
 
 def half_iteration(

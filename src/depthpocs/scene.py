@@ -14,26 +14,25 @@ verification only; the refinement never sees them. A scene whose views
 share no cleanly visible pixel is rejected.
 
 The two views render at once where the process may run on two CPUs: a
-forked child renders the right view into anonymous shared memory mapped
-before the fork, while the calling process renders the left view, and a
-pipe carries the child's error, if any, back. With one CPU, without
-os.fork, or where the shared memory, the pipe or the child cannot be
-had, the views render one after the other in the calling process. Either
-way each view runs the same operations on the same arrays, so the maps
-and masks are the same, byte for byte.
+forked child (a _common.Forked, as refine's stripe workers are) renders
+the right view into anonymous shared memory mapped before the fork, while
+the calling process renders the left view; the child's error, if any, is
+raised here by Forked's rule. With one CPU, on a platform that cannot
+fork, or where the shared memory, a pipe or the child cannot be had, the
+views render one after the other in the calling process. Either way each
+view runs the same operations on the same arrays, so the maps and masks
+are the same, byte for byte.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import fork_cpus
-from .errors import DepthPocsError, InvalidSceneError
+from ._common import Forked, fork_cpus
+from .errors import InvalidSceneError
 from .geometry import RectifiedPair, principal_point, simple_camera
 
 _RIPPLE_WAVES = 3
@@ -168,72 +167,34 @@ def _render_view(
     return depth, prim_id
 
 
-def _fork_view(spec: SceneSpec, tx: float, ripple: _Ripple | None):
-    """Fork a child that renders the view at offset tx into shared memory.
-
-    Returns the child's pid, the pipe its reply comes on and the shared
-    depth and primitive-id arrays it fills. The reply is the pickled error
-    the render raised, or None: a DepthPocsError or MemoryError as it is,
-    anything else as a DepthPocsError naming it.
-    """
-    h, w = spec.height, spec.width
-    buffer = mmap.mmap(-1, 16 * h * w)
-    depth = np.ndarray((h, w), np.float64, buffer)
-    prim_id = np.ndarray((h, w), np.intp, buffer, offset=8 * h * w)
-    reply_r, reply_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(reply_r)
-        os.close(reply_w)
-        raise
-    if pid == 0:
-        try:
-            os.close(reply_r)
-            try:
-                depth[...], prim_id[...] = _render_view(spec, tx, ripple)
-                error = None
-            except (DepthPocsError, MemoryError) as exc:
-                error = exc
-            except Exception as exc:
-                error = DepthPocsError(f"scene render process failed: {type(exc).__name__}: {exc}")
-            with open(reply_w, "wb") as reply:
-                pickle.dump(error, reply)
-        finally:
-            os._exit(0)
-    os.close(reply_w)
-    return pid, open(reply_r, "rb"), depth, prim_id
-
-
 def _render_views(spec: SceneSpec, txs, ripple: _Ripple | None) -> list:
     """_render_view's result for the left and the right offset in txs.
 
     Renders the right view in a forked child where fork_cpus allows two
     processes and the child can be had, and the left view meanwhile here.
     """
-    try:
-        forked = _fork_view(spec, txs[1], ripple) if fork_cpus() > 1 else None
-    except (OSError, OverflowError):  # no shared memory, pipe or process to spare
-        forked = None
-    if forked is None:
-        return [_render_view(spec, tx, ripple) for tx in txs]
-    pid, replies, depth, prim_id = forked
-    with replies:
+    h, w = spec.height, spec.width
+    child = None
+    if fork_cpus() > 1:
         try:
-            left = _render_view(spec, txs[0], ripple)
-            reply = replies.read()
-        except BaseException:
-            import signal  # here, so that importing the package does not load it
+            buffer = mmap.mmap(-1, 16 * h * w)
+            depth = np.ndarray((h, w), np.float64, buffer)
+            prim_id = np.ndarray((h, w), np.intp, buffer, offset=8 * h * w)
 
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.waitpid(pid, 0)
-    if not reply:
-        raise DepthPocsError("scene render process exited without a reply")
-    error = pickle.loads(reply)
-    if error is not None:
-        raise error
+            def render_right() -> None:
+                depth[...], prim_id[...] = _render_view(spec, txs[1], ripple)
+
+            child = Forked(render_right, "scene render process")
+        except (OSError, OverflowError):  # no shared memory, pipe or process to spare
+            pass
+    if child is None:
+        return [_render_view(spec, tx, ripple) for tx in txs]
+    try:
+        child.send()
+        left = _render_view(spec, txs[0], ripple)
+        child.receive()
+    finally:
+        child.close()
     return [left, (depth.copy(), prim_id.copy())]
 
 

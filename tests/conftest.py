@@ -17,3 +17,12 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"test left a child process behind ({'running' if pid == 0 else pid})")
+
+
+@pytest.fixture
+def no_fd_leaked():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list open descriptors")
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(os.listdir("/proc/self/fd")) == before

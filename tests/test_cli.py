@@ -2,6 +2,7 @@
 CSV schema, determinism, exit codes, and the names the benchmark wraps."""
 
 import configparser
+import errno
 import importlib.util
 import inspect
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpocs import cli, errors, scene
+from depthpocs import cli, errors, pocs, scene
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
 from depthpocs.errors import ConfigError
 from depthpocs.metrics import quality_g
@@ -540,6 +541,27 @@ class TestRunVerb:
         assert main(["run", str(cfg), "-o", str(out)]) == code
         assert not out.exists()
         assert capsys.readouterr().err == message
+
+    def test_failed_fork_runs_as_on_one_cpu(self, small_cfg, tmp_path, monkeypatch):
+        # Two stripes on two CPUs, but no process to spare: the scene renders
+        # one view after the other and refine runs one stripe.
+        monkeypatch.setattr(pocs, "_MIN_STRIPE_WORK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(["run", str(small_cfg), "-o", str(tmp_path / "one")]) == 0
+        forks = []
+
+        def fail():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", fail)
+        assert main(["run", str(small_cfg), "-o", str(tmp_path / "two")]) == 0
+        assert len(forks) == 2  # the scene's child and the stripe worker
+        one = sorted((tmp_path / "one").iterdir())
+        assert [f.name for f in one] == sorted(f.name for f in (tmp_path / "two").iterdir())
+        for f in one:
+            assert f.read_bytes() == (tmp_path / "two" / f.name).read_bytes(), f.name
 
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -2,9 +2,11 @@
 points, the flat scripted oracle), stopping rules, determinism, and the
 block-row stripes with their worker processes."""
 
+import errno
 import math
 import os
 import platform
+import signal
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from depthpocs.codec import (
     split_blocks,
 )
 from depthpocs import pocs, warp
+from depthpocs._common import Forked
 from depthpocs.errors import (
     DepthPocsError,
     InvalidConfigurationError,
@@ -491,6 +494,63 @@ class TestStripes:
         one = refine_with_stripes(monkeypatch, 1, gen, dl, dr, opts)
         assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[1])
 
+    @pytest.mark.parametrize("error", [InvalidParameterError, MemoryError])
+    def test_worker_error_keeps_its_class(self, monkeypatch, error):
+        gen, dl, dr = coded_pair(32, 48)
+        parent = os.getpid()
+        project_view = pocs.project_view
+        raised = []
+        for count in (1, 2):
+
+            def fails(*args, **kwargs):
+                if count == 1 or os.getpid() != parent:
+                    raise error("injected worker fault")
+                return project_view(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(pocs, "project_view", fails)
+                with pytest.raises(error) as info:
+                    refine_with_stripes(monkeypatch, count, gen, dl, dr, RefineOptions(max_iters=2))
+            raised.append(info.value)
+        one, two = raised
+        assert type(two) is type(one) and str(two) == str(one)
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_fork_runs_one_stripe(self, monkeypatch, no_fd_leaked, failing):
+        # The failing-th fork fails as it does when no process is left to spare;
+        # the workers forked before it end, and refine runs one stripe.
+        gen, dl, dr = coded_pair(40, 72)
+        opts = RefineOptions(max_iters=2)
+        one = refine_with_stripes(monkeypatch, 1, gen, dl, dr, opts)
+        forks = []
+        fork = os.fork
+
+        def fork_or_fail():
+            forks.append(1)
+            if len(forks) == failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_or_fail)
+        got = refine_with_stripes(monkeypatch, 3, gen, dl, dr, opts)
+        assert len(forks) == failing and no_child_left()
+        assert np.array_equal(got[0], one[0]) and np.array_equal(got[1], one[1])
+        assert got[2].entries == one[2].entries
+
+    def test_dead_worker_raises(self, no_fd_leaked):
+        gen, dl, dr = coded_pair(16, 24)
+        cams = gen.cameras
+        with pocs._Stripes((dr,), gen.left.shape, 2) as stripes:
+            pid = stripes.workers[0].pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            with pytest.raises(DepthPocsError, match="stripe worker exited early"):
+                half_iteration(
+                    gen.left, cams.left, cams.right, dr, gen.right, RefineOptions(),
+                    stripes=stripes,
+                )
+        assert stripes.workers == [] and no_child_left()
+
     def test_interrupt_in_parent_reaps_workers(self, monkeypatch):
         gen, dl, dr = coded_pair(32, 48)
 
@@ -501,6 +561,30 @@ class TestStripes:
         with pytest.raises(KeyboardInterrupt):
             refine_with_stripes(monkeypatch, 3, gen, dl, dr, RefineOptions())
         assert no_child_left()
+
+
+def thread_count() -> int:
+    """This process's num_threads, field 20 of /proc/self/stat."""
+    with open("/proc/self/stat") as f:
+        # Field 2, the command name in parentheses, may itself hold spaces.
+        return int(f.read().rsplit(")", 1)[1].split()[17])
+
+
+class TestForked:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/self/stat")
+    def test_fork_leaves_one_thread_in_each_process(self):
+        # A fork while numpy's BLAS pool runs could leave the child a lock
+        # that a pool thread held; OpenBLAS stops the pool before the fork.
+        a = np.ones((256, 256))
+        a @ a  # start the pool, should an earlier fork have stopped it
+        child = Forked(thread_count, "thread counter")
+        try:
+            in_parent = thread_count()
+            child.send()
+            in_child = child.receive()
+        finally:
+            child.close()
+        assert (in_child, in_parent) == (1, 1)
 
 
 class TestHeapPolicy:

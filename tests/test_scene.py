@@ -253,15 +253,6 @@ def render_mode(request, monkeypatch):
     yield forks, 1 if request.param == "fork" else 0
 
 
-@pytest.fixture
-def no_fd_leaked():
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("needs /proc/self/fd to list open descriptors")
-    before = sorted(os.listdir("/proc/self/fd"))
-    yield
-    assert sorted(os.listdir("/proc/self/fd")) == before
-
-
 def fault_in_render(monkeypatch, fault, in_child=True):
     """Grant two CPUs and make the forked child's render (or the parent's) call fault()."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
