@@ -1,5 +1,5 @@
-"""Small shared helpers: input validation, the CPU rule for forking, and
-the forked process that both fork sites use."""
+"""Small shared helpers: input validation, the CPU budget for forking, and
+the forked process that every fork site uses."""
 
 from __future__ import annotations
 
@@ -28,18 +28,28 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise InvalidInputError(f"{what}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def fork_cpus() -> int:
-    """CPUs this process may run on; 1 where os.fork does not exist.
+# The pids of the Forked children this process has started and not yet
+# closed, and whether this process is itself a Forked child, which runs on
+# the one CPU its parent counted for it.
+_children: set[int] = set()
+_in_forked_child = False
 
-    Scene rendering forks a process for its second view, and refine one
-    per stripe after the first, only where this is above 1.
+
+def fork_cpus() -> int:
+    """CPUs this process may run on, less one per Forked child still open.
+
+    1 in a Forked child and where os.fork does not exist. Scene rendering
+    forks a process for its second view, refine one per stripe after the
+    first and sweep one per step after the first, only where this is above
+    1, so that forks never stack: a sweep's refines run one stripe each.
     """
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or _in_forked_child:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, cpus - len(_children))
 
 
 class Forked:
@@ -47,8 +57,9 @@ class Forked:
 
     send pickles a request into one pipe; receive returns the reply to the
     oldest request not yet received, from another. An error serve raises
-    in the child is raised by receive: a DepthPocsError or MemoryError as
-    it is, anything else as DepthPocsError("{what} failed: {type}: {msg}").
+    in the child is raised by receive: a DepthPocsError, MemoryError,
+    OSError or FloatingPointError as it is, so that it keeps its exit code,
+    anything else as DepthPocsError("{what} failed: {type}: {msg}").
     A child that ends without a reply gives "{what} exited without a
     reply", a request to a child that has ended "{what} exited early".
     The constructor raises OSError where no pipe or process can be had.
@@ -74,12 +85,16 @@ class Forked:
             raise
         requests, to_child, from_child, replies = fds
         if self.pid == 0:
+            global _in_forked_child
+            _in_forked_child = True
+            _children.clear()
             try:
                 os.close(to_child)
                 os.close(from_child)
                 _serve(serve, what, open(requests, "rb"), open(replies, "wb"))
             finally:
                 os._exit(0)
+        _children.add(self.pid)
         os.close(requests)
         os.close(replies)
         self.requests = open(to_child, "wb")
@@ -106,6 +121,7 @@ class Forked:
 
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
+        _children.discard(self.pid)
         for pipe in (self.requests, self.replies):
             # A request that met a dead child is still buffered; it cannot be flushed.
             with contextlib.suppress(OSError):
@@ -118,7 +134,7 @@ def _serve(serve, what: str, requests, replies) -> None:
         request = pickle.load(requests)  # EOFError, which ends the child, once the parent is gone
         try:
             reply = serve(*request), None
-        except (DepthPocsError, MemoryError) as exc:
+        except (DepthPocsError, MemoryError, OSError, FloatingPointError) as exc:
             reply = None, exc
         except Exception as exc:
             reply = None, DepthPocsError(f"{what} failed: {type(exc).__name__}: {exc}")

@@ -63,10 +63,17 @@ class BinConstraints(NamedTuple):
     hi: np.ndarray
 
 
+# Least step flat_table accepts. Orthonormality bounds every coefficient of
+# a map in [0, 256) by 8 * 256 = 2048, so its bin indices then fit int32.
+_MIN_STEP = 2.0**-20
+
+
 def flat_table(delta: float) -> np.ndarray:
     """Step table with the same step size for all 64 coefficients."""
     if not np.isfinite(delta) or delta <= 0:
         raise InvalidInputError(f"step size must be positive, got {delta}")
+    if delta < _MIN_STEP:
+        raise InvalidInputError(f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {delta}")
     return np.full((BLOCK, BLOCK), float(delta))
 
 
@@ -109,13 +116,16 @@ def quantize(coeffs, table) -> np.ndarray:
     Midtread uniform quantizer with round-half-away-from-zero, so index 0
     always represents coefficients near zero and the implied centroid is
     index * step. The input is guaranteed to lie inside the closed bin of
-    its own index.
+    its own index. An index whose magnitude int32 cannot hold raises
+    InvalidInputError.
     """
     c = np.asarray(coeffs, dtype=np.float64)
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("coefficients contain non-finite values")
     t = _check_table(table)
     mag = np.floor(np.abs(c) / t + 0.5)
+    if mag.size and mag.max() > np.iinfo(np.int32).max:
+        raise InvalidInputError(f"a bin index of {mag.max():.0f} does not fit int32")
     return np.where(c < 0, -mag, mag).astype(np.int32)
 
 

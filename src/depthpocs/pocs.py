@@ -130,8 +130,9 @@ _MIN_STRIPE_WORK = 1 << 17
 def _stripe_count(height: int, width: int, max_iters: int) -> int:
     """Stripes refine splits a height x width map into for max_iters iterations.
 
-    One per CPU this process may run on, while each carries at least
-    _MIN_STRIPE_WORK pixel-iterations; one where the platform cannot fork.
+    One per CPU fork_cpus counts (one in each process of a forked sweep),
+    while each carries at least _MIN_STRIPE_WORK pixel-iterations; one
+    where the platform cannot fork.
     """
     return max(1, min(fork_cpus(), height * width * max_iters // _MIN_STRIPE_WORK))
 

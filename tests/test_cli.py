@@ -8,6 +8,7 @@ import inspect
 import math
 import os
 import re
+import shutil
 import signal
 import warnings
 from pathlib import Path
@@ -747,6 +748,122 @@ class TestSweep:
             assert (step / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+def tree(root: Path) -> dict:
+    """{path relative to root: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestParallelSweep:
+    """On P CPUs, sweep runs step i in process i % P; here P is 2 unless a test says 1."""
+
+    @staticmethod
+    def sweep(monkeypatch, capsys, cfg, out, deltas, cpus=(0, 1)):
+        """(exit code, stdout, stderr) of a sweep with CPUs `cpus`."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        code = main(["sweep", str(cfg), "-o", str(out), "--deltas", deltas])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_outputs_do_not_depend_on_processes(
+        self, tmp_path, monkeypatch, capsys, no_fd_leaked, iters
+    ):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE.replace("max_iters = 3", f"max_iters = {iters}"))
+        out = tmp_path / "out"
+        runs = {}
+        for mode in ("fork", "one-cpu", "no-fork"):
+            with monkeypatch.context() as m:
+                if mode == "no-fork":
+                    m.delattr(os, "fork")
+                cpus = (0,) if mode == "one-cpu" else (0, 1)
+                runs[mode] = self.sweep(m, capsys, cfg, out, "8,16,24,40,64", cpus), tree(out)
+            shutil.rmtree(out)
+        assert runs["fork"][0][0] == 0 and len(runs["fork"][1]) == 5 * 19 + 1
+        assert runs["fork"] == runs["one-cpu"] == runs["no-fork"]
+
+    def test_forks_one_worker_and_no_stripe_worker(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        # With this, refine would fork a stripe worker wherever it counts two CPUs.
+        monkeypatch.setattr(pocs, "_MIN_STRIPE_WORK", 1)
+        parent, fork, forks = os.getpid(), os.fork, []
+
+        def counted_fork():
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker forked")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        code, _, err = self.sweep(monkeypatch, capsys, small_cfg, tmp_path / "out", "16,24,32")
+        assert (code, err) == (0, "")
+        assert len(forks) == 2  # the scene's render child, then the sweep worker
+
+    def test_failed_fork_runs_every_step_here(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        out = tmp_path / "out"
+        want = self.sweep(monkeypatch, capsys, small_cfg, out, "16,24,32", cpus=(0,)), tree(out)
+        shutil.rmtree(out)
+        forks = []
+
+        def fail():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fail)
+        got = self.sweep(monkeypatch, capsys, small_cfg, out, "16,24,32"), tree(out)
+        assert got == want and want[0][0] == 0
+        assert len(forks) == 2  # the scene's render child, then the sweep worker
+
+    @pytest.mark.parametrize(
+        "failing, printed", [("32", ["16"]), ("48", ["16", "32"])], ids=["in-worker", "in-parent"]
+    )
+    def test_step_error_as_in_one_process(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked, failing, printed
+    ):
+        # On two CPUs delta 32 runs in the worker; delta 48 runs here, after
+        # the worker's delta 32 succeeded.
+        run_protocol = cli.run_protocol
+
+        def fails(inputs, table, opts, outdir, **kwargs):
+            if outdir.name == f"delta_{failing}":
+                raise errors.NumericalError("injected")
+            return run_protocol(inputs, table, opts, outdir, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", fails)
+        out = tmp_path / "out"
+        results = []
+        for cpus in ((0,), (0, 1)):
+            results.append(self.sweep(monkeypatch, capsys, small_cfg, out, "16,32,48", cpus))
+            assert not (out / "aggregate.csv").exists()
+            shutil.rmtree(out)
+        one, two = results
+        assert two == one
+        code, stdout, stderr = one
+        assert (code, stderr) == (4, "error: injected\n")
+        assert [line.split(":")[0] for line in stdout.splitlines()] == [
+            f"delta {d}" for d in printed
+        ]
+
+    def test_io_error_in_worker_as_in_one_process(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        # A regular file where the worker's step directory goes.
+        out = tmp_path / "out"
+        results = []
+        for cpus in ((0,), (0, 1)):
+            out.mkdir()
+            (out / "delta_16").write_text("not a directory")
+            results.append(self.sweep(monkeypatch, capsys, small_cfg, out, "8,16", cpus))
+            shutil.rmtree(out)
+        one, two = results
+        assert two == one
+        code, stdout, stderr = one
+        assert code == 3 and stdout.startswith("delta 8: ") and stdout.count("\n") == 1
+        assert stderr == f"error: [Errno {errno.EEXIST}] File exists: '{out / 'delta_16'}'\n"
+
+
 # README's exit-code table: 2 invalid configuration, 3 I/O failure
 # (missing or malformed files), 4 numerical failure (or too little memory).
 README_EXIT_CODES = {
@@ -793,10 +910,15 @@ class TestExitCodes:
             # Both values would write into the same delta_<step> directory.
             ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "16,16.0"]),
             ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "96,96.000001"]),
+            # Below 2**-20 a bin index of a map in [0, 256) could leave int32.
+            ("delta = 1e-7", ["run", "{cfg}", "-o", "{out}"]),
+            ("delta = 24.0", ["compress", "{pgm}", "-o", "{out}", "--delta", "1e-7"]),
+            ("delta = 24.0", ["sweep", "{cfg}", "-o", "{out}", "--deltas", "16,1e-7"]),
         ],
         ids=[
             "quant-delta-0", "compress-delta-neg", "compress-quality-0", "sweep-delta-neg",
-            "sweep-same-dir-16", "sweep-same-dir-96",
+            "sweep-same-dir-16", "sweep-same-dir-96", "quant-delta-1e-7", "compress-delta-1e-7",
+            "sweep-delta-1e-7",
         ],
     )
     def test_bad_step_size_is_2_before_artifacts(self, tmp_path, capsys, quant, argv):

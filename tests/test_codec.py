@@ -130,6 +130,16 @@ class TestQuantizer:
         assert np.all(codec.quantize(y, t) == 3)
         assert np.all(codec.quantize(-y, t) == -3)
 
+    def test_index_outside_int32_rejected(self):
+        # Index 2**31 is one more than int32 holds, so the cast would wrap.
+        y = np.zeros((8, 8))
+        y[3, 5] = 2.0**31
+        with pytest.raises(InvalidInputError, match="does not fit int32"):
+            codec.quantize(y, codec.flat_table(1.0))
+        with pytest.raises(InvalidInputError, match="does not fit int32"):
+            codec.quantize(-2.0 * y, codec.flat_table(1.0))
+        assert codec.quantize(y - 1.0, codec.flat_table(1.0))[3, 5] == 2**31 - 1
+
     def test_dequantize_examples(self):
         t = codec.flat_table(10.0)
         idx = np.full((8, 8), 2, dtype=np.int32)
@@ -202,6 +212,17 @@ class TestTables:
         assert t.shape == (8, 8) and np.all(t == 24.0)
         with pytest.raises(InvalidInputError):
             codec.flat_table(0.0)
+
+    def test_flat_table_rejects_steps_below_2_pow_minus_20(self):
+        # Every coefficient of a map in [0, 256) is below 2048 = 2**11, so
+        # from 2**-20 up its index stays below 2**31.
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            codec.flat_table(1e-7)
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            codec.flat_table(np.nextafter(2.0**-20, 0.0))
+        m = np.full((8, 8), 255.99)
+        idx = codec.encode_map(m, codec.flat_table(2.0**-20)).indices
+        assert idx.max() == round(8 * 255.99 * 2**20) < 2**31
 
     def test_jpeg_table_quality_50_is_base(self):
         t = codec.jpeg_table(50)

@@ -27,7 +27,7 @@ from depthpocs.codec import (
     split_blocks,
 )
 from depthpocs import pocs, warp
-from depthpocs._common import Forked
+from depthpocs._common import Forked, fork_cpus
 from depthpocs.errors import (
     DepthPocsError,
     InvalidConfigurationError,
@@ -515,6 +515,27 @@ class TestStripes:
         one, two = raised
         assert type(two) is type(one) and str(two) == str(one)
 
+    def test_worker_os_error_keeps_its_errno(self, monkeypatch, no_fd_leaked):
+        gen, dl, dr = coded_pair(32, 48)
+        parent = os.getpid()
+        project_view = pocs.project_view
+        raised = []
+        for count in (1, 2):
+
+            def fails(*args, **kwargs):
+                if count == 1 or os.getpid() != parent:
+                    raise PermissionError(errno.EACCES, "injected worker fault")
+                return project_view(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(pocs, "project_view", fails)
+                with pytest.raises(PermissionError) as info:
+                    refine_with_stripes(monkeypatch, count, gen, dl, dr, RefineOptions(max_iters=2))
+            raised.append(info.value)
+        one, two = raised
+        assert type(two) is type(one) and two.errno == one.errno == errno.EACCES
+        assert str(two) == str(one)
+
     @pytest.mark.parametrize("failing", [1, 2])
     def test_failed_fork_runs_one_stripe(self, monkeypatch, no_fd_leaked, failing):
         # The failing-th fork fails as it does when no process is left to spare;
@@ -585,6 +606,20 @@ class TestForked:
         finally:
             child.close()
         assert (in_child, in_parent) == (1, 1)
+
+
+    def test_cpu_budget(self, monkeypatch, no_fd_leaked):
+        # A child counts one CPU, and its parent one less while the child lives.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert fork_cpus() == 3
+        child = Forked(fork_cpus, "CPU counter")
+        try:
+            assert fork_cpus() == 2
+            child.send()
+            assert child.receive() == 1
+        finally:
+            child.close()
+        assert fork_cpus() == 3
 
 
 class TestHeapPolicy:
