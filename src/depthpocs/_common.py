@@ -1,5 +1,6 @@
-"""Small shared helpers: input validation, the CPU budget for forking, and
-the forked process that every fork site uses."""
+"""Small shared helpers: input validation, the CPU budget for forking, the
+forked process that every fork site uses, and the map of one-shot work
+over processes."""
 
 from __future__ import annotations
 
@@ -38,10 +39,10 @@ _in_forked_child = False
 def fork_cpus() -> int:
     """CPUs this process may run on, less one per Forked child still open.
 
-    1 in a Forked child and where os.fork does not exist. Scene rendering
-    forks a process for its second view, refine one per stripe after the
-    first and sweep one per step after the first, only where this is above
-    1, so that forks never stack: a sweep's refines run one stripe each.
+    1 in a Forked child and where os.fork does not exist. in_processes
+    (the scene's two views, a sweep's steps) and refine's stripes fork only
+    where this is above 1, so that forks never stack: a sweep's refines run
+    one stripe each.
     """
     if not hasattr(os, "fork") or _in_forked_child:
         return 1
@@ -128,6 +129,36 @@ class Forked:
                 pipe.close()
 
 
+def in_processes(compute, count: int, what: str):
+    """Yield compute(0), ..., compute(count - 1) in order.
+
+    compute(i) runs in process i % P, P = min(fork_cpus(), count): process 0
+    is this one, the others are Forked children named `what`, forked before
+    anything runs and sent all their indices at once. Where a pipe or a
+    process cannot be had, every index runs here. An error is raised at its
+    index's turn, by Forked's rule where a child raised it. The children are
+    closed when the generator ends, raises or is closed.
+    """
+    procs = min(fork_cpus(), count)
+    children: list[Forked] = []
+    try:
+        try:
+            for _ in range(procs - 1):
+                children.append(Forked(compute, what))
+        except OSError:  # no pipe or process to spare: every index runs here
+            for child in children:
+                child.close()
+            children, procs = [], 1
+        for i in range(count):
+            if i % procs:
+                children[i % procs - 1].send(i)
+        for i in range(count):
+            yield children[i % procs - 1].receive() if i % procs else compute(i)
+    finally:
+        for child in children:
+            child.close()
+
+
 def _serve(serve, what: str, requests, replies) -> None:
     """The child's loop: one reply per request, until the parent's end of the pipe closes."""
     while True:
@@ -138,5 +169,7 @@ def _serve(serve, what: str, requests, replies) -> None:
             reply = None, exc
         except Exception as exc:
             reply = None, DepthPocsError(f"{what} failed: {type(exc).__name__}: {exc}")
-        replies.write(pickle.dumps(reply))
+        # Protocol 5 copies an array's data once, into the reply, and the
+        # array that receive unpickles keeps the bytes read from the pipe.
+        replies.write(pickle.dumps(reply, protocol=5))
         replies.flush()

@@ -15,14 +15,13 @@ cameras from resolve_inputs, which takes the cameras from generate_scene in
 scene mode and from RunConfig.camera_pair (the config and a map shape) in
 import mode; the protocol from run_protocol and report.csv from
 write_report_csv. `sweep` renders the scene, or reads the [inputs] maps,
-once and runs the protocol on those arrays for every step. In P processes,
-P = min(_common.fork_cpus(), steps): it then forks P - 1 workers (each a
-_common.Forked that inherits the arrays), and step i runs in process
-i % P. The parent prints each step's line in delta order as it arrives;
-the first failing step in delta order ends the command with its error,
-as in one process. `refine` needs only the two descriptions and the
-config's camera sections: it takes the map shape from the descriptions
-and neither renders [scene] nor reads the [inputs] maps.
+once and runs the protocol on those arrays for every step, each step in
+a process of _common.in_processes (forked workers inherit the arrays).
+It prints each step's line in delta order as it arrives; the first
+failing step in delta order ends the command with its error, as in one
+process. `refine` needs only the two descriptions and the config's
+camera sections: it takes the map shape from the descriptions and
+neither renders [scene] nor reads the [inputs] maps.
 
 run, sweep and refine report PSNRs on maps rounded to 8-bit levels, with
 or without --pgm16, so the numbers match what a user would measure on
@@ -45,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from ._common import in_processes
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
 from .errors import ConfigError, DepthPocsError, InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, RectifiedPair, principal_point, simple_camera
@@ -207,6 +207,8 @@ def load_config(path) -> RunConfig:
     sections = _read_sections(path, "config file", (*_SECTIONS, "primitive.*"))
     base = path.parent
     inputs = sections.get("inputs")
+    if inputs is not None and "scene" in sections:
+        raise ConfigError("give either [scene] or [inputs], not both")
     if inputs is not None and "camera_file" in inputs:
         sections.update(
             _read_sections(base / inputs["camera_file"], "camera file", _CAMERA_FILE_SECTIONS)
@@ -447,8 +449,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from ._common import Forked, fork_cpus
-
     config = load_config(args.config)
     try:
         deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
@@ -468,28 +468,10 @@ def _cmd_sweep(args) -> int:
         result = run_protocol(inputs, tables[i], config.options, outdir / names[i], deep=args.pgm16)
         return result.g_values(), result.scores()
 
-    # Step i runs in process i % procs: here for 0, else in workers[i % procs - 1].
-    procs = min(fork_cpus(), len(deltas))
-    workers: list[Forked] = []
-    try:
-        try:
-            for _ in range(procs - 1):
-                workers.append(Forked(step, "sweep worker"))
-        except OSError:  # no pipe or process to spare: every step runs here
-            for worker in workers:
-                worker.close()
-            workers, procs = [], 1
-        for i in range(len(deltas)):
-            if i % procs:
-                workers[i % procs - 1].send(i)
-        rows = ["delta,q_std,q_smo,q_our"]
-        for i, delta in enumerate(deltas):
-            g_values, scores = workers[i % procs - 1].receive() if i % procs else step(i)
-            rows.append(",".join([f"{delta:g}", *g_values]))
-            print(f"delta {delta:g}: {scores}")
-    finally:
-        for worker in workers:
-            worker.close()
+    rows = ["delta,q_std,q_smo,q_our"]
+    for delta, (g_values, scores) in zip(deltas, in_processes(step, len(deltas), "sweep worker")):
+        rows.append(",".join([f"{delta:g}", *g_values]))
+        print(f"delta {delta:g}: {scores}")
     with open(outdir / "aggregate.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     return 0

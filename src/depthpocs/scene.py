@@ -13,25 +13,22 @@ one-pixel guard band around the projected position). The masks exist for
 verification only; the refinement never sees them. A scene whose views
 share no cleanly visible pixel is rejected.
 
-The two views render at once where the process may run on two CPUs: a
-forked child (a _common.Forked, as refine's stripe workers are) renders
-the right view into anonymous shared memory mapped before the fork, while
-the calling process renders the left view; the child's error, if any, is
-raised here by Forked's rule. With one CPU, on a platform that cannot
-fork, or where the shared memory, a pipe or the child cannot be had, the
-views render one after the other in the calling process. Either way each
-view runs the same operations on the same arrays, so the maps and masks
-are the same, byte for byte.
+The two views render at once where the process may run on two CPUs:
+_common.in_processes renders the right view in a forked child, which
+returns it in its reply, while the calling process renders the left view.
+With one CPU, on a platform that cannot fork, or where a pipe or the
+child cannot be had, the views render one after the other here. Either
+way each view runs the same operations on the same arrays, so the maps
+and masks are the same, byte for byte.
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import Forked, fork_cpus
+from ._common import in_processes
 from .errors import InvalidSceneError
 from .geometry import RectifiedPair, principal_point, simple_camera
 
@@ -167,37 +164,6 @@ def _render_view(
     return depth, prim_id
 
 
-def _render_views(spec: SceneSpec, txs, ripple: _Ripple | None) -> list:
-    """_render_view's result for the left and the right offset in txs.
-
-    Renders the right view in a forked child where fork_cpus allows two
-    processes and the child can be had, and the left view meanwhile here.
-    """
-    h, w = spec.height, spec.width
-    child = None
-    if fork_cpus() > 1:
-        try:
-            buffer = mmap.mmap(-1, 16 * h * w)
-            depth = np.ndarray((h, w), np.float64, buffer)
-            prim_id = np.ndarray((h, w), np.intp, buffer, offset=8 * h * w)
-
-            def render_right() -> None:
-                depth[...], prim_id[...] = _render_view(spec, txs[1], ripple)
-
-            child = Forked(render_right, "scene render process")
-        except (OSError, OverflowError):  # no shared memory, pipe or process to spare
-            pass
-    if child is None:
-        return [_render_view(spec, tx, ripple) for tx in txs]
-    try:
-        child.send()
-        left = _render_view(spec, txs[0], ripple)
-        child.receive()
-    finally:
-        child.close()
-    return [left, (depth.copy(), prim_id.copy())]
-
-
 def _visibility_mask(
     spec: SceneSpec,
     depth: np.ndarray,
@@ -237,15 +203,16 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     if spec.seed < 0:
         raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
     cx, cy = spec.principal_point()
-    tx_l = 0.0
-    tx_r = float(spec.baseline)
+    tx_l, tx_r = txs = (0.0, float(spec.baseline))
     # First, so that a camera that is not finite fails before rendering.
     cameras = RectifiedPair(
         simple_camera(spec.focal, cx, cy, tx_l),
         simple_camera(spec.focal, cx, cy, tx_r),
     )
     ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
-    (left, prim_l), (right, prim_r) = _render_views(spec, (tx_l, tx_r), ripple)
+    (left, prim_l), (right, prim_r) = in_processes(
+        lambda i: _render_view(spec, txs[i], ripple), 2, "scene render process"
+    )
     mask_l = _visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r)
     mask_r = _visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l)
     for view, mask in (("left", mask_l), ("right", mask_r)):

@@ -10,6 +10,7 @@ import os
 import re
 import shutil
 import signal
+import sys
 import warnings
 from pathlib import Path
 
@@ -232,10 +233,12 @@ class TestStrictReader:
             ("c = 140.0", "c = 140.0\nripple = maybe", "ripple"),
             ("width = 64", "width =", "width"),
             ("delta = 24.0", "delta = 24.0  ; comments go on their own line", "delta"),
+            # Not silently ignored: the maps it names need not exist.
+            ("[quant]", "[inputs]\nleft = l.pgm\nright = r.pgm\n\n[quant]", "[scene] or [inputs]"),
         ],
         ids=[
             "section-case", "unknown-section", "refine-key-typo", "plane-sigma", "box-ripple",
-            "default-section", "ripple-maybe", "empty-width", "inline-comment",
+            "default-section", "ripple-maybe", "empty-width", "inline-comment", "scene-and-inputs",
         ],
     )
     def test_run_rejects(self, tmp_path, capsys, old, new, named):
@@ -862,6 +865,24 @@ class TestParallelSweep:
         code, stdout, stderr = one
         assert code == 3 and stdout.startswith("delta 8: ") and stdout.count("\n") == 1
         assert stderr == f"error: [Errno {errno.EEXIST}] File exists: '{out / 'delta_16'}'\n"
+
+    def test_closed_stdout_exits_3_and_ends_workers(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        # The reader of stdout has gone: the first step's line meets a broken pipe
+        # while the worker may still run the second step.
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        out = tmp_path / "out"
+        assert main(["sweep", str(small_cfg), "-o", str(out), "--deltas", "16,24,32"]) == 3
+        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] Broken pipe\n"
+        assert not (out / "aggregate.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # README's exit-code table: 2 invalid configuration, 3 I/O failure

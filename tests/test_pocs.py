@@ -1,7 +1,9 @@
 """Refinement loop tests: half-iteration contract (feasibility, fixed
 points, the flat scripted oracle), stopping rules, determinism, and the
-block-row stripes with their worker processes."""
+block-row stripes with their worker processes, and in_processes, which
+maps one-shot work over forked processes."""
 
+import contextlib
 import errno
 import math
 import os
@@ -27,12 +29,13 @@ from depthpocs.codec import (
     split_blocks,
 )
 from depthpocs import pocs, warp
-from depthpocs._common import Forked, fork_cpus
+from depthpocs._common import Forked, fork_cpus, in_processes
 from depthpocs.errors import (
     DepthPocsError,
     InvalidConfigurationError,
     InvalidInputError,
     InvalidParameterError,
+    NumericalError,
 )
 from depthpocs.geometry import CameraParams, simple_camera
 from depthpocs.metrics import psnr
@@ -620,6 +623,73 @@ class TestForked:
         finally:
             child.close()
         assert fork_cpus() == 3
+
+
+def index_and_pid(i: int) -> tuple[int, int]:
+    return i, os.getpid()
+
+
+class TestInProcesses:
+    """in_processes yields compute(0), ..., compute(count - 1) in order, index i
+    computed in process i % P, P = min(CPUs, count)."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_order_and_process_of_each_index(self, monkeypatch, no_fd_leaked, cpus, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got = list(in_processes(index_and_pid, count, "test worker"))
+        assert [i for i, _ in got] == list(range(count))
+        procs = min(cpus, count)
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid() and len(set(pids[:procs])) == procs
+        assert pids == [pids[i % procs] for i in range(count)]
+        assert no_child_left() and fork_cpus() == cpus
+
+    def test_failed_fork_runs_every_index_here(self, monkeypatch, no_fd_leaked):
+        # The second fork fails as it does when no process is left to spare;
+        # the child forked before it ends.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forks = []
+        fork = os.fork
+
+        def fork_or_fail():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_or_fail)
+        got = list(in_processes(index_and_pid, 5, "test worker"))
+        assert got == [(i, os.getpid()) for i in range(5)]
+        assert len(forks) == 2 and no_child_left()
+
+    @pytest.mark.parametrize("failing", [3, 2], ids=["in-child", "in-parent"])
+    def test_error_raised_at_its_turn(self, monkeypatch, no_fd_leaked, failing):
+        # On two CPUs odd indices run in the child, even ones here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def compute(i):
+            if i == failing:
+                raise NumericalError("injected")
+            return index_and_pid(i)
+
+        got = []
+        with pytest.raises(NumericalError, match="^injected$"):
+            for item in in_processes(compute, 5, "test worker"):
+                got.append(item)
+        assert [i for i, _ in got] == list(range(failing))
+        assert got[0][1] == os.getpid() != got[1][1]
+        assert no_child_left() and fork_cpus() == 2
+
+    @pytest.mark.parametrize("leave", ["break", "raise"])
+    def test_consumer_leaving_early_ends_children(self, monkeypatch, no_fd_leaked, leave):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(KeyError) if leave == "raise" else contextlib.nullcontext():
+            for _ in in_processes(index_and_pid, 5, "test worker"):
+                if leave == "raise":
+                    raise KeyError("consumer")
+                break
+        assert no_child_left() and fork_cpus() == 3
 
 
 class TestHeapPolicy:

@@ -322,7 +322,7 @@ class TestForkedRender:
         with pytest.raises(KeyboardInterrupt):
             generate_scene(demo_scene(64, 64))
 
-    @pytest.mark.parametrize("failing", ["mmap", "fork"])
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
     def test_no_memory_or_process_to_spare_renders_in_turn(
         self, monkeypatch, no_fd_leaked, failing
     ):
@@ -331,10 +331,7 @@ class TestForkedRender:
         def fail(*args):
             raise OSError(f"no {failing} to spare")
 
-        if failing == "mmap":
-            monkeypatch.setattr(scene.mmap, "mmap", fail)
-        else:
-            monkeypatch.setattr(os, "fork", fail)
+        monkeypatch.setattr(os, failing, fail)
         spec = demo_scene(64, 64)
         gen = generate_scene(spec)
         got = (gen.left, gen.right, gen.mask_left, gen.mask_right)
