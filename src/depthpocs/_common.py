@@ -134,10 +134,11 @@ def in_processes(compute, count: int, what: str):
 
     compute(i) runs in process i % P, P = min(fork_cpus(), count): process 0
     is this one, the others are Forked children named `what`, forked before
-    anything runs and sent all their indices at once. Where a pipe or a
-    process cannot be had, every index runs here. An error is raised at its
-    index's turn, by Forked's rule where a child raised it. The children are
-    closed when the generator ends, raises or is closed.
+    anything runs. A child is sent its first two indices at once and each
+    next one when a reply is received from it. Where a pipe or a process
+    cannot be had, every index runs here. An error is raised at its index's
+    turn, by Forked's rule where a child raised it. The children are closed
+    when the generator ends, raises or is closed.
     """
     procs = min(fork_cpus(), count)
     children: list[Forked] = []
@@ -149,11 +150,18 @@ def in_processes(compute, count: int, what: str):
             for child in children:
                 child.close()
             children, procs = [], 1
-        for i in range(count):
+        # A child has at most two indices in flight: the one it computes and
+        # the next, sent when the one before is received. So the request pipe
+        # never fills while the child waits on a full reply pipe.
+        for i in range(1, min(count, 2 * procs)):
             if i % procs:
                 children[i % procs - 1].send(i)
         for i in range(count):
-            yield children[i % procs - 1].receive() if i % procs else compute(i)
+            if i % procs:
+                result = children[i % procs - 1].receive()
+                if i + 2 * procs < count:
+                    children[i % procs - 1].send(i + 2 * procs)
+            yield result if i % procs else compute(i)
     finally:
         for child in children:
             child.close()

@@ -7,6 +7,10 @@ target column, depth and source column. _interpolate_grid then rebuilds
 the target grid from two neighbors per pixel, one picked from each side,
 and bilateral_filter cleans up the result.
 
+bilateral_filter runs each window offset on contiguous slices of a flat
+copy of the rows it reads, each padded with radius zero columns on either
+side. A pair with a pad pixel weighs exactly +0, which changes no bit.
+
 For a rectified pair the composition of back-projection and re-projection
 collapses to a pure column shift of fx * baseline / s per pixel, where s
 is the distance along the shared camera axis. Using that closed form
@@ -30,10 +34,10 @@ from ._common import as_map, require_same_shape
 from .errors import InvalidParameterError
 from .geometry import CameraParams, projective_scale_grid, require_rectified
 
-# Output rows the bilateral filter finishes at a time (see bilateral_filter).
-# On a 501-column map, 16 and 32 rows ran fastest; 8 rows, 64 rows and the
-# whole map were slower.
-_BAND_ROWS = 32
+# Padded pixels the bilateral filter finishes at a time (see
+# bilateral_filter), in whole rows: the terms a band stores for the mirror
+# offsets then stay near the size of a core's L2 cache.
+_BAND_PIXELS = 8192
 
 
 def check_sigma(name: str, value: float) -> None:
@@ -204,14 +208,22 @@ def bilateral_filter(
     below it, and the mirror offset reuses them at the shifted pixels.
     Every pixel still sums its terms in window order, so the result is the
     same, bit for bit, as evaluating each offset on its own.
+
+    The rows read are copied into one flat buffer, each with radius zero
+    columns on either side, so that every step works on contiguous slices:
+    with row stride W = w + 2 radius, neighbor (dy, dx) of flat index i is
+    i + dy W + dx. A pair with a pad pixel gets weight +0 from a per-offset
+    row of spatial weights, so it adds +0 and d * +0 = +-0 to the sums.
+    They start at +0.0, so none becomes -0.0, and x + +-0 is x for every
+    other x: the pad changes no bit.
     """
     m = as_map(map_)
-    radius = int(radius)
-    if radius < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {radius}")
+    r = int(radius)
+    if r < 0:
+        raise InvalidParameterError(f"radius must be >= 0, got {r}")
     h, w = m.shape
     a, b = (0, h) if rows is None else rows
-    if radius == 0:
+    if r == 0:
         return m[a:b].copy()
     check_sigma("sigma_s", sigma_s)
     check_sigma("sigma_r", sigma_r)
@@ -219,63 +231,68 @@ def bilateral_filter(
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     # Offsets before the center in window order; (-dy, -dx) follow it in
     # reverse order.
-    firsts = [
-        (dy, dx)
-        for dy in range(-radius, 1)
-        for dx in range(-radius, radius + 1)
-        if dy < 0 or dx < 0
-    ]
-    band = max(1, min(b - a, _BAND_ROWS))
+    firsts = [(dy, dx) for dy in range(-r, 1) for dx in range(-r, r + 1) if dy < 0 or dx < 0]
+    # Per offset and padded column: the spatial weight where the pixel and
+    # its neighbor are both inside the map, 0 where either is a pad.
+    cols = np.arange(-r, w + r)
+    spatial = np.array([
+        ((cols >= max(0, -dx)) & (cols < min(w, w - dx))) * math.exp(-(dy * dy + dx * dx) * inv2ss)
+        for dy, dx in firsts])
+    # Map rows [s0, s1), padded; pixel (y, x) is at flat[r + (y - s0) W + r + x].
+    s0, s1 = max(0, a - r), min(h, b + r)
+    W = w + 2 * r
+    flat = np.zeros((s1 - s0) * W + 2 * r)
+    flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w] = m[s0:s1]
+    band = max(1, min(b - a, _BAND_PIXELS // W))
     # One buffer holds a band's stored terms, each as a contiguous array.
-    store = np.empty((len(firsts), 2, (band + radius) * w))
-    num = np.empty(band * w)
-    den = np.empty(band * w)
+    store = np.empty((len(firsts), 2, (band + r) * W))
+    # A band's sums, laid out as flat, with r slack elements at either end.
+    num, den = sums = np.empty((2, band * W + 2 * r))
     out = np.empty((b - a, w))
     # Accumulating weighted deviations from the center (instead of
     # weighted values) keeps flat regions exactly unchanged in floating
     # point.
     for b0 in range(a, b, band):
         b1 = min(b, b0 + band)
-        bn = (b1 - b0) * w
-        num_b = num[:bn].reshape(b1 - b0, w)
-        den_b = den[:bn].reshape(b1 - b0, w)
-        num_b.fill(0.0)
-        den_b.fill(0.0)
+        bn = (b1 - b0) * W
+        sums.fill(0.0)
         shared = []
-        for k, (dy, dx) in enumerate(firsts):
-            # Pixels p whose neighbor p + (dy, dx) is inside the map, on
-            # the band's rows and on the |dy| rows the mirror offset reads.
-            y0, y1 = max(b0, -dy), min(h, b1 - dy)
-            x0, x1 = max(0, -dx), min(w, w - dx)
-            if y0 >= y1 or x0 >= x1:
-                continue
-            size = (y1 - y0) * (x1 - x0)
-            wgt = store[k, 0, :size].reshape(y1 - y0, x1 - x0)
-            term = store[k, 1, :size].reshape(y1 - y0, x1 - x0)
-            np.subtract(m[y0 + dy : y1 + dy, x0 + dx : x1 + dx], m[y0:y1, x0:x1], out=term)
-            np.multiply(term, term, out=wgt)
-            wgt *= -inv2sr
-            np.exp(wgt, out=wgt)
-            wgt *= math.exp(-(dy * dy + dx * dx) * inv2ss)
-            term *= wgt
-            own = min(y1, b1) - y0
-            if own > 0:
-                num_b[y0 - b0 : y0 - b0 + own, x0:x1] += term[:own]
-                den_b[y0 - b0 : y0 - b0 + own, x0:x1] += wgt[:own]
-            shared.append((dy, dx, y0, y1, x0, x1, wgt, term))
+        # d * d past the float range (a pad beside a sample beyond 1e154) weighs +0.
+        with np.errstate(over="ignore"):
+            for k, (dy, dx) in enumerate(firsts):
+                # Rows whose neighbor row y + dy was copied: the band's rows
+                # and the |dy| rows below it that the mirror offset reads.
+                y0, y1 = max(b0, s0 - dy), min(s1, b1 - dy)
+                if y0 >= y1:
+                    continue
+                n, i = (y1 - y0) * W, r + (y0 - s0) * W
+                j = i + dy * W + dx
+                wgt, term = store[k, 0, :n], store[k, 1, :n]
+                np.subtract(flat[j : j + n], flat[i : i + n], out=term)
+                np.multiply(term, term, out=wgt)
+                wgt *= -inv2sr
+                np.exp(wgt, out=wgt)
+                np.multiply(wgt.reshape(-1, W), spatial[k], out=wgt.reshape(-1, W))
+                term *= wgt
+                own, i = max(0, min(y1, b1) - y0) * W, r + (y0 - b0) * W
+                num[i : i + own] += term[:own]
+                den[i : i + own] += wgt[:own]
+                shared.append((dy, dx, y0, y1, wgt, term))
         # The center offset: weight exp(0) = 1, weighted deviation +0.0.
-        den_b += 1.0
-        for dy, dx, y0, y1, x0, x1, wgt, term in reversed(shared):
+        den[r : r + bn] += 1.0
+        for dy, dx, y0, y1, wgt, term in reversed(shared):
             # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
             # wgt[p], weighted deviation -term[p].
             p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
             if p0 >= p1:
                 continue
-            q = (slice(p0 + dy - b0, p1 + dy - b0), slice(x0 + dx, x1 + dx))
-            num_b[q] -= term[p0 - y0 : p1 - y0]
-            den_b[q] += wgt[p0 - y0 : p1 - y0]
-        np.divide(num_b, den_b, out=num_b)
-        np.add(m[b0:b1], num_b, out=out[b0 - a : b1 - a])
+            n, i = (p1 - p0) * W, (p0 - y0) * W
+            q = r + (p0 + dy - b0) * W + dx
+            num[q : q + n] -= term[i : i + n]
+            den[q : q + n] += wgt[i : i + n]
+        ratio = num[r : r + bn]
+        np.divide(ratio, den[r : r + bn], out=ratio)
+        np.add(m[b0:b1], ratio.reshape(b1 - b0, W)[:, r : r + w], out=out[b0 - a : b1 - a])
     return out
 
 

@@ -376,17 +376,20 @@ class TestStripes:
         h=st.integers(1, 80),
         w=st.integers(1, 24),
         radii=st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True),
-        band=st.integers(1, 12),
+        band_pixels=st.integers(1, 400),
         count=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_reused_workspace_leaks_nothing(self, monkeypatch, h, w, radii, band, count, seed):
+    def test_reused_workspace_leaks_nothing(
+        self, monkeypatch, h, w, radii, band_pixels, count, seed
+    ):
         # One context serves call after call, and its worker processes keep
         # their state between them. Input B after input A, with another
-        # radius, other cameras and options, and filter bands of `band` rows
-        # (so that the last band of a stripe is often short), must give what
-        # a fresh context gives for B, bit for bit.
-        monkeypatch.setattr(warp, "_BAND_ROWS", band)
+        # radius, other cameras and options, and filter bands of at most
+        # `band_pixels` padded pixels, that is 1 to about 130 rows (so that
+        # the last band of a stripe is often short), must give what a fresh
+        # context gives for B, bit for bit.
+        monkeypatch.setattr(warp, "_BAND_PIXELS", band_pixels)
         rng = np.random.default_rng(seed)
         desc = encode_map(rng.uniform(30, 250, (h, w)), random_table(rng))
         inputs = []
@@ -690,6 +693,28 @@ class TestInProcesses:
                     raise KeyError("consumer")
                 break
         assert no_child_left() and fork_cpus() == 3
+
+    def test_many_replies_fill_no_pipe(self, monkeypatch, no_fd_leaked):
+        # 20000 replies of 1000 bytes each, half of them from one child: a
+        # child sent all its indices at once fills its reply pipe and blocks,
+        # and this process then blocks on the full request pipe. The alarm
+        # turns such a hang into a failure.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def hung(signum, frame):
+            raise TimeoutError("in_processes hung")
+
+        count = 20000
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            replies = in_processes(lambda i: f"{i:<1000}", count, "test worker")
+            got = [int(reply) for reply in replies]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got == list(range(count))
+        assert no_child_left() and fork_cpus() == 2
 
 
 class TestHeapPolicy:

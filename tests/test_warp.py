@@ -4,12 +4,14 @@ warp_oracle), and the bilateral filter against a hand-evaluated oracle and
 bit for bit against the per-offset reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depthpocs import warp
 from depthpocs.errors import InvalidConfigurationError, InvalidInputError, InvalidParameterError
 from depthpocs.geometry import simple_camera
 from depthpocs.warp import _interpolate_grid, bilateral_filter, forward_warp, project_view
@@ -20,6 +22,12 @@ from warp_oracle import (
     interpolate_reference,
     row_buckets,
 )
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal float64 bit patterns; unlike ==, this tells -0.0 from 0.0."""
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def cam_pair(focal=100.0, cx=32.0, cy=32.0, baseline=10.0):
@@ -239,6 +247,14 @@ class TestBilateral:
         m = np.full((9, 9), 42.0)
         assert np.array_equal(bilateral_filter(m, 2.0, 10.0, 3), m)
 
+    def test_huge_constant_unchanged_without_warning(self):
+        # A pad beside a sample beyond 1e154 squares past the float range
+        # and weighs exp(-inf) = +0, without an overflow warning.
+        m = np.full((9, 9), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(bilateral_filter(m, 2.0, 10.0, 3), m)
+
     def test_tiny_range_sigma_is_identity(self):
         rng = np.random.default_rng(73)
         m = rng.permutation(81).astype(float).reshape(9, 9) * 3.0 + 1.0
@@ -279,10 +295,23 @@ class TestBilateral:
         assert out is not m
 
     @pytest.mark.parametrize("h", [1, 2, 31, 32, 33, 63, 64, 65])
-    def test_band_edges_match_reference(self, h):
+    def test_band_edges_match_reference(self, monkeypatch, h):
+        # Bands of 32 rows of 23 + 2 * 3 padded columns.
+        monkeypatch.setattr(warp, "_BAND_PIXELS", 32 * 29)
         m = np.random.default_rng(83 + h).uniform(0.0, 255.0, (h, 23))
         out = bilateral_filter(m, 2.0, 10.0, 3)
-        assert np.array_equal(out, bilateral_reference(m, 2.0, 10.0, 3))
+        assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, 3))
+
+    # Widths 1, at most the radius, 2 radius + 1, and two wider ones.
+    @pytest.mark.parametrize("w", [1, 2, 7, 23, 61])
+    @pytest.mark.parametrize("k, extra", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+    def test_default_band_edges_match_reference(self, w, k, extra):
+        # A band has _BAND_PIXELS // (w + 2 radius) rows; the heights are a
+        # row short of, equal to and a row past one and two whole bands.
+        h = k * (warp._BAND_PIXELS // (w + 2 * 3)) + extra
+        m = np.random.default_rng(97 + h + w).uniform(0.0, 255.0, (h, w))
+        out = bilateral_filter(m, 2.0, 10.0, 3)
+        assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, 3))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -309,10 +338,10 @@ class TestBilateral:
         y1, x1 = rng.integers(y0, h) + 1, rng.integers(x0, w) + 1
         m[y0:y1, x0:x1] = 77.25
         out = bilateral_filter(m, sigma_s, sigma_r, radius)
-        assert np.array_equal(out, bilateral_reference(m, sigma_s, sigma_r, radius))
+        assert_same_bits(out, bilateral_reference(m, sigma_s, sigma_r, radius))
         # Any run of output rows alone, as a stripe of a half-iteration asks.
         a, b = sorted(round(c * h) for c in cuts)
-        assert np.array_equal(bilateral_filter(m, sigma_s, sigma_r, radius, (a, b)), out[a:b])
+        assert_same_bits(bilateral_filter(m, sigma_s, sigma_r, radius, (a, b)), out[a:b])
         r0, r1 = (0 if y0 == 0 else y0 + radius), (h if y1 == h else y1 - radius)
         c0, c1 = (0 if x0 == 0 else x0 + radius), (w if x1 == w else x1 - radius)
         assert np.all(out[r0 : max(r0, r1), c0 : max(c0, c1)] == 77.25)
