@@ -114,16 +114,16 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     """Each target pixel's pick among the samples that serve it from one side.
 
     tgt holds each sample's target pixel, or n (the pixel count) for a
-    sample that serves none. Preference is lexicographic: the depth lies
-    within tau of the current target value, then smallest depth, then
-    smallest source column. Every sample is written to its target, in any
-    order, so a pixel served by exactly one sample takes it directly; only
-    the groups of two or more are sorted, and their winners written over.
-    Returns the picked depth and column per pixel, NaN where no sample
-    serves it.
+    sample that serves none. A sample more than tau from its pixel's
+    current value is no candidate. Among the candidates the smallest
+    depth wins, then the smallest source column. All are written to their
+    targets, so a pixel with one candidate takes it; only groups of two
+    or more are sorted, and their winners written over. Returns each
+    pixel's picked depth and column, NaN where it has no candidate.
     """
     n = flat_current.size
-    # Entry n takes the samples that serve no pixel.
+    # Entry n takes the samples that serve no pixel; tgt sends it those beyond tau too.
+    np.copyto(tgt, n, where=np.abs(np.take(flat_current, tgt, mode="clip") - depths) > tau)
     pick_d = np.full(n + 1, np.nan)
     pick_c = np.full(n + 1, np.nan)
     pick_d[tgt] = depths
@@ -132,9 +132,7 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     count[n] = 0  # entry n is no pixel
     multi = np.flatnonzero(np.take(count, tgt, mode="clip") > 1)
     tm = tgt[multi]
-    dm = depths[multi]
-    fails = np.abs(dm - flat_current[tm]) > tau
-    order = np.lexsort((src_cols[multi], dm, fails, tm))
+    order = np.lexsort((src_cols[multi], depths[multi], tm))
     tm = tm[order]
     first = np.ones(len(tm), dtype=bool)
     first[1:] = tm[1:] != tm[:-1]
@@ -147,12 +145,12 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
 def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
     """Edge-adaptive depth at every integer target pixel.
 
-    samples are forward_warp's flat arrays. Pixel c picks one sample from
-    (c-1, c] and one from [c, c+1) (see _pick_side). The two picks are
-    blended linearly by horizontal distance; with a single pick its depth
-    is returned, and with none the current value is kept. Each sample can
-    serve exactly one pixel from the left (target ceil(col)) and one from
-    the right (target floor(col)).
+    samples are forward_warp's flat arrays. Pixel c picks, among the
+    samples within tau of its current value, one from (c-1, c] and one
+    from [c, c+1) (see _pick_side). The two picks are blended linearly by
+    horizontal distance; with a single pick its depth is returned, and
+    with none the current value is kept. Each sample can serve one pixel
+    from the left (ceil(col)) and one from the right (floor(col)).
     """
     rows, cols, depths, src_cols = samples
     h, w = current.shape

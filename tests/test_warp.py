@@ -102,11 +102,11 @@ class TestInterpolateAt:
     """The scalar oracle's own rules."""
 
     def test_exact_hit(self):
-        assert interpolate_at(5, 10, [sample(5, 10.0, 40.0)], 0.0, 8.0) == 40.0
+        assert interpolate_at(5, 10, [sample(5, 10.0, 40.0)], 35.0, 8.0) == 40.0
 
     def test_equidistant_blend(self):
         cands = [sample(5, 9.5, 10.0, 1), sample(5, 10.5, 20.0, 2)]
-        assert interpolate_at(5, 10, cands, 0.0, 8.0) == 15.0
+        assert interpolate_at(5, 10, cands, 12.0, 8.0) == 15.0
 
     def test_hole_returns_current(self):
         assert interpolate_at(5, 10, [], 77.5, 8.0) == 77.5
@@ -119,9 +119,14 @@ class TestInterpolateAt:
         cands = [sample(5, 9.3, 30.0, 1), sample(5, 9.6, 90.0, 2)]
         assert interpolate_at(5, 10, cands, 85.0, 8.0) == 90.0
 
-    def test_min_depth_when_none_pass(self):
+    def test_keeps_current_when_none_pass(self):
+        # A sample beyond tau is no candidate, so the pixel is a hole.
+        cands = [sample(5, 9.3, 30.0, 1), sample(5, 10.6, 90.0, 2)]
+        assert interpolate_at(5, 10, cands, 500.0, 8.0) == 500.0
+
+    def test_huge_tau_takes_min_depth(self):
         cands = [sample(5, 9.3, 30.0, 1), sample(5, 9.6, 90.0, 2)]
-        assert interpolate_at(5, 10, cands, 500.0, 8.0) == 30.0
+        assert interpolate_at(5, 10, cands, 500.0, 1e9) == 30.0
 
     def test_tie_break_smallest_source_column(self):
         cands = [sample(5, 9.4, 30.0, 7), sample(5, 9.6, 30.0, 2)]
@@ -130,8 +135,8 @@ class TestInterpolateAt:
         assert out == 30.0
 
     def test_single_side_returns_its_depth(self):
-        assert interpolate_at(5, 10, [sample(5, 9.25, 33.0)], 0.0, 8.0) == 33.0
-        assert interpolate_at(5, 10, [sample(5, 10.75, 44.0)], 0.0, 8.0) == 44.0
+        assert interpolate_at(5, 10, [sample(5, 9.25, 33.0)], 40.0, 8.0) == 33.0
+        assert interpolate_at(5, 10, [sample(5, 10.75, 44.0)], 40.0, 8.0) == 44.0
 
     def test_open_outer_endpoints(self):
         # candidates exactly one column away serve the neighboring pixel only
@@ -188,7 +193,8 @@ class TestGridMatchesScalar:
                     assert grid[r, c] == want[r, c], (trial, r, c)
 
     def test_all_singletons(self):
-        # identity cameras: every pixel is served by exactly its own sample
+        # identity cameras: every pixel is served by exactly its own sample,
+        # which it takes where that lies within tau of its current value
         rng = np.random.default_rng(80)
         m = rng.uniform(1.0, 255.0, (16, 20))
         cur = rng.uniform(1.0, 255.0, (16, 20))
@@ -197,7 +203,7 @@ class TestGridMatchesScalar:
         assert all(np.all(s == 1) for s in group_sizes(samples, 20))
         grid = _interpolate_grid(samples, cur, 8.0)
         assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
-        assert np.array_equal(grid, m)
+        assert np.array_equal(grid, np.where(np.abs(m - cur) <= 8.0, m, cur))
 
     def test_only_multi_candidate_groups(self):
         # two samples at c + 0.25 and c + 0.5 for every column c: each served
@@ -214,23 +220,27 @@ class TestGridMatchesScalar:
         grid = _interpolate_grid(samples, cur, 8.0)
         assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
 
-    def test_tau_fallback_groups(self):
-        # no candidate lies within tau of the current value: every group
-        # falls back to its minimum depth
+    def test_groups_beyond_tau_keep_current(self):
+        # Where the current value is 1000, every sample lies beyond tau of
+        # it: those pixels have no candidate and keep the value exactly.
         rng = np.random.default_rng(82)
         left, right = cam_pair(focal=90.0, cx=15.5, cy=15.5, baseline=7.0)
         m = np.clip(np.cumsum(rng.uniform(-6.0, 6.0, (24, 32)), axis=1) + 90.0, 10.0, 200.0)
-        cur = np.full(m.shape, 1000.0)
+        far = rng.random(m.shape) < 0.5
+        cur = np.where(far, 1000.0, m)
         samples = forward_warp(m, left, right)
         assert any(np.any(s > 1) for s in group_sizes(samples, 32))
         grid = _interpolate_grid(samples, cur, 8.0)
+        assert np.array_equal(grid[far], cur[far])
+        assert not np.array_equal(grid[~far], cur[~far])
         assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
 
     @settings(max_examples=300, deadline=None)
     @given(flat_samples())
     def test_random_samples_match_oracle(self, case):
         samples, cur = case
-        for tau in (0.0, 8.0):
+        # tau = 1e9 makes every sample a candidate: the nearest surface wins.
+        for tau in (0.0, 8.0, 1e9):
             grid = _interpolate_grid(samples, cur, tau)
             assert np.array_equal(grid, interpolate_reference(samples, cur, tau))
 

@@ -49,10 +49,9 @@ def row_buckets(samples, height: int) -> list[RowSamples]:
     return buckets
 
 
-def _selection_key(depth: float, src_col: int, current: float, tau: float):
-    # Lexicographic preference: pass the depth-tolerance filter first, then
-    # smallest depth, then smallest source column for determinism.
-    return (abs(depth - current) > tau, depth, src_col)
+def _selection_key(depth: float, src_col: int):
+    # Smallest depth first, then smallest source column for determinism.
+    return (depth, src_col)
 
 
 def interpolate_at(
@@ -64,12 +63,11 @@ def interpolate_at(
 ) -> float:
     """Edge-adaptive depth at one integer target pixel.
 
-    One candidate is picked from (col-1, col] and one from [col, col+1).
-    Within each interval, candidates whose depth is within tau of the
-    current target depth are preferred; among the preferred (or all, when
-    none pass) the minimum depth wins. The two picks are blended linearly
-    by horizontal distance; with a single pick its depth is returned, and
-    with none the current value is kept.
+    A sample whose depth is more than tau from the current target depth
+    is no candidate. One candidate is picked from (col-1, col] and one
+    from [col, col+1): the minimum depth wins. The two picks are blended
+    linearly by horizontal distance; with a single pick its depth is
+    returned, and with none the current value is kept.
     """
     c = float(col)
     p1 = None
@@ -77,13 +75,15 @@ def interpolate_at(
     k1 = None
     k2 = None
     for cand in candidates:
+        if abs(cand.depth - current) > tau:
+            continue
         x = cand.col
         if c - 1.0 < x <= c:
-            key = _selection_key(cand.depth, cand.src_col, current, tau)
+            key = _selection_key(cand.depth, cand.src_col)
             if k1 is None or key < k1:
                 k1, p1 = key, cand
         if c <= x < c + 1.0:
-            key = _selection_key(cand.depth, cand.src_col, current, tau)
+            key = _selection_key(cand.depth, cand.src_col)
             if k2 is None or key < k2:
                 k2, p2 = key, cand
     if p1 is not None and p2 is not None:
