@@ -39,7 +39,6 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .geometry import CameraParams, RectifiedPair, principal_point, simple_camer
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
 from .pocs import VIEWS, IterationReport, RefineOptions, _keep_freed_memory, refine
-from .scene import Box, Plane, SceneSpec, generate_scene
+from .scene import Box, GeneratedScene, Plane, SceneSpec, generate_scene
 from .warp import bilateral_filter
 
 CSV_HEADER = "iter,view,psnr_left,psnr_right,g,mean_change,clip_fraction"
@@ -252,32 +251,22 @@ def load_config(path) -> RunConfig:
     )
 
 
-class Inputs(NamedTuple):
-    """Ground-truth pair, its cameras and, in scene mode, the visibility masks."""
-
-    left: np.ndarray
-    right: np.ndarray
-    cameras: RectifiedPair
-    masks: tuple[np.ndarray, np.ndarray] | None
-
-
-def resolve_inputs(config: RunConfig) -> Inputs:
+def resolve_inputs(config: RunConfig) -> GeneratedScene:
     """Render the scene or read the [inputs] maps; done once per command."""
     if config.scene is not None:
-        gen = generate_scene(config.scene)
-        return Inputs(gen.left, gen.right, gen.cameras, (gen.mask_left, gen.mask_right))
+        return generate_scene(config.scene)
     left, right = map(read_pgm, config.inputs)
     if left.shape != right.shape:
         raise ConfigError(f"input maps disagree in size: {left.shape} vs {right.shape}")
-    return Inputs(left, right, config.camera_pair(left.shape), None)
+    return GeneratedScene(left, right, None, None, config.camera_pair(left.shape))
 
 
-def _write_truth(outdir: Path, inputs: Inputs, deep: bool) -> None:
+def _write_truth(outdir: Path, inputs: GeneratedScene, deep: bool) -> None:
     """truth_*.pgm, plus mask_*.pgm (always 8-bit) when the inputs have masks."""
     for view, truth in zip(VIEWS, (inputs.left, inputs.right)):
         write_pgm(outdir / f"truth_{view}.pgm", truth, deep=deep)
-    if inputs.masks is not None:
-        for view, mask in zip(VIEWS, inputs.masks):
+    if inputs.mask_left is not None:
+        for view, mask in zip(VIEWS, (inputs.mask_left, inputs.mask_right)):
             write_pgm(outdir / f"mask_{view}.pgm", mask * 255.0)
 
 
@@ -327,7 +316,7 @@ class RunResult:
 
 
 def run_protocol(
-    inputs: Inputs, table, opts: RefineOptions, outdir, *, deep: bool = False
+    inputs: GeneratedScene, table, opts: RefineOptions, outdir, *, deep: bool = False
 ) -> RunResult:
     """Code, decode, smooth and refine the truth pair; write every artifact."""
     outdir = Path(outdir)

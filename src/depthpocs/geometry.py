@@ -6,9 +6,10 @@ scalar multiple of K @ E @ (x, y, d, 1). The depth sample doubles as the
 third world coordinate, which is what lets a rectified pair pass depth
 values between views unchanged.
 
-projective_scale_grid eliminates the unknown world x and y from the 3x3
-linear system in (x, y, s) obtained from K^-1 @ (col, row, 1) * s =
-R @ p + t, where s is the point's distance along the camera axis.
+projective_scale_grid gives every pixel its distance s along the camera
+axis in closed form: the third world coordinate of the pixel's ray, set
+equal to the depth, fixes s (Hartley and Zisserman, Multiple View
+Geometry, 2nd ed., section 6.2.3).
 """
 
 from __future__ import annotations
@@ -103,49 +104,29 @@ class RectifiedPair:
         require_rectified(self.left, self.right)
 
 
-def _numerator(r: np.ndarray, v) -> float:
-    """det [R[:, 0], R[:, 1], v]: Cramer's numerator for s with right-hand side v."""
-    minor = r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0]
-    return (
-        r[0, 0] * (r[1, 1] * v[2] - v[1] * r[2, 1])
-        - r[0, 1] * (r[1, 0] * v[2] - v[1] * r[2, 0])
-        + v[0] * minor
-    )
-
-
 def projective_scale_grid(cam: CameraParams, depth: np.ndarray, row0: int = 0) -> np.ndarray:
-    """Per-pixel distance along the camera axis for a depth map.
+    """Per-pixel distance s along the camera axis for a depth map.
 
-    Vectorized Cramer solve of the 3x3 system in (x, y, s), keeping only
-    the scale s. The right-hand side -(R[:, 2] * d + t) is linear in the
-    depth d, so the numerator is -(c1 * d + c0), with c1 and c0 the same
-    cofactor expression applied to R[:, 2] and to t, and s is one affine
-    map of d per pixel on a denominator that depends only on K, R and the
-    pixel. With R = I the result equals the direct Cramer solve bit for
-    bit. Pixels with non-positive depth get NaN. depth may be rows row0,
-    row0 + 1, ... of a larger map; each pixel's value depends only on its
-    own row, column and depth.
+    A pixel's camera point is s * m with m = K^-1 @ (col, row, 1), and its
+    world point is R^T @ (s * m - t), whose third coordinate is the depth d;
+    so s = (d + r3 . t) / (r3 . m) with r3 = R[:, 2], for proper and
+    mirrored rotations alike. With R = I this is d + t_z. Pixels with
+    non-positive depth get NaN. depth may be rows row0, row0 + 1, ... of a
+    larger map; each pixel's value depends only on its own row, column and
+    depth.
     """
     h, w = depth.shape
     k = cam.k
-    r = cam.r
+    r3 = cam.r[:, 2]
     rows = np.arange(row0, row0 + h, dtype=np.float64).reshape(-1, 1)
     cols = np.arange(w, dtype=np.float64).reshape(1, -1)
     my = (rows - k[1, 2]) / k[1, 1]
     mx = (cols - k[0, 1] * my - k[0, 2]) / k[0, 0]
-    minor = r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0]
-    # det [R[:, 0], R[:, 1], -m] of every pixel's ray m.
-    det = (
-        r[0, 0] * (-r[1, 1] + my * r[2, 1])
-        - r[0, 1] * (-r[1, 0] + my * r[2, 0])
-        - mx * minor
-    )
-    c1 = _numerator(r, r[:, 2])
-    c0 = _numerator(r, cam.t)
+    # The (h, 1) terms first: one full-size pass fewer.
+    axial = r3[0] * mx + (r3[1] * my + r3[2])
     s = np.empty((h, w))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        np.multiply(depth, -c1, out=s)
-        np.subtract(s, c0, out=s)
-        np.divide(s, det, out=s)
+        np.add(depth, r3 @ cam.t, out=s)
+        np.divide(s, axial, out=s)
     np.copyto(s, np.nan, where=np.less_equal(depth, 0.0))
     return s

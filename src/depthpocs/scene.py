@@ -75,10 +75,12 @@ class SceneSpec:
 
 @dataclass
 class GeneratedScene:
+    """Ground-truth pair, its cameras and the visibility masks (None for imported maps)."""
+
     left: np.ndarray
     right: np.ndarray
-    mask_left: np.ndarray
-    mask_right: np.ndarray
+    mask_left: np.ndarray | None
+    mask_right: np.ndarray | None
     cameras: RectifiedPair
 
 

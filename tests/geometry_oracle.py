@@ -3,10 +3,10 @@
 back_project lifts one pixel with a known depth value to its world point by
 solving the 3x3 linear system in (x, y, s) obtained from
 K^-1 @ (col, row, 1) * s = R @ p + t; project maps a world point back into a
-view. depthpocs.geometry.projective_scale_grid, the vectorized path the warp
-runs, must agree with the scale s of this solve. cramer_scale_grid is the
-direct vectorized Cramer solve that projective_scale_grid replaced with an
-affine map of the depth; with R = I the two agree bit for bit.
+view. depthpocs.geometry.projective_scale_grid, the vectorized closed form
+the warp runs, must agree with the scale s of this solve. cramer_scale_grid
+solves the same system for every pixel at once by Cramer's rule; with R = I
+it and the closed form agree bit for bit.
 """
 
 from __future__ import annotations

@@ -736,6 +736,20 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("16,") and lines[2].startswith("32,")
 
+    def test_sweep_pgm16(self, small_cfg, tmp_path):
+        # 16-bit maps in every step; the scores, and so aggregate.csv, are
+        # taken on maps rounded to 8-bit levels either way.
+        deep, shallow = tmp_path / "deep", tmp_path / "shallow"
+        for out, flags in ((deep, ["--pgm16"]), (shallow, [])):
+            assert main(["sweep", str(small_cfg), "-o", str(out), "--deltas", "16,32", *flags]) == 0
+        for step in ("delta_16", "delta_32"):
+            maps = sorted((deep / step).glob("*.pgm"))
+            assert len(maps) == 16
+            for path in maps:
+                maxval = path.read_bytes().split(maxsplit=4)[3]
+                assert maxval == (b"255" if path.name.startswith("mask_") else b"65535"), path
+        assert (deep / "aggregate.csv").read_bytes() == (shallow / "aggregate.csv").read_bytes()
+
     def test_sweep_bad_deltas(self, small_cfg, tmp_path):
         assert main(["sweep", str(small_cfg), "-o", str(tmp_path / "x"), "--deltas", "a,b"]) == 2
 

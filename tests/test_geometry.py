@@ -24,6 +24,7 @@ from geometry_oracle import (
     back_project,
     cramer_scale_grid,
     project,
+    solve_pixel,
 )
 
 
@@ -209,8 +210,8 @@ class TestCameraValidation:
 
 class TestScaleGrid:
     def test_matches_scalar_solver(self):
-        # The vectorized Cramer solve must agree with the per-pixel 3x3
-        # linear solve used by back_project.
+        # The closed form must agree with the per-pixel 3x3 linear solve
+        # used by back_project.
         rng = np.random.default_rng(64)
         cam = CameraParams(
             np.array([[150.0, 0, 31.5], [0, 140.0, 23.5], [0, 0, 1.0]]),
@@ -234,8 +235,9 @@ class TestScaleGrid:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_affine_form_matches_cramer(self, h, w, row0, tilt, seed):
-        # Bit for bit on unrotated rigs (every bundled and benchmark rig);
-        # within A5's relative 1e-9 on tilted ones.
+        # The closed form equals the direct Cramer solve bit for bit on
+        # unrotated rigs (every bundled and benchmark rig), where both give
+        # d + t_z; within A5's relative 1e-9 on tilted ones.
         rng = np.random.default_rng(seed)
         k = np.array(
             [
@@ -259,6 +261,36 @@ class TestScaleGrid:
                 assert np.allclose(got, want, rtol=1e-9, atol=0.0, equal_nan=True)
             else:
                 assert np.array_equal(got, want, equal_nan=True)
+
+    def test_mirrored_and_tilted_rigs(self):
+        # Tilts up to 0.4 rad, half the rigs with a mirrored x axis
+        # (det R = -1), t_z away from 0 and a slab that does not start at row 0.
+        rng = np.random.default_rng(417)
+        for i in range(40):
+            k = np.array(
+                [
+                    [rng.uniform(80, 400), rng.uniform(-2, 2), rng.uniform(0, 40)],
+                    [0.0, rng.uniform(80, 400), rng.uniform(0, 30)],
+                    [0.0, 0.0, 1.0],
+                ]
+            )
+            rot = small_rotation(rng, scale=0.4)
+            if i % 2:
+                rot = np.diag([-1.0, 1.0, 1.0]) @ rot
+            t = rng.uniform(-30, 30, 3)
+            t[2] = rng.choice([-1.0, 1.0]) * rng.uniform(1, 30)
+            cam = CameraParams(k, np.hstack([rot, t.reshape(3, 1)]))
+            assert np.linalg.det(cam.r) == pytest.approx(-1.0 if i % 2 else 1.0)
+            row0 = int(rng.integers(1, 50))
+            depth = rng.uniform(60.0, 255.0, (12, 16))
+            depth[rng.random(depth.shape) < 0.1] = 0.0
+            grid = projective_scale_grid(cam, depth, row0)
+            want = cramer_scale_grid(cam, depth, row0)
+            assert np.array_equal(np.isnan(grid), depth <= 0)
+            assert np.allclose(grid, want, rtol=1e-9, atol=0.0, equal_nan=True)
+            for r, c in zip(*np.nonzero(depth > 0)):
+                _, _, s = solve_pixel(row0 + r, c, depth[r, c], cam)
+                assert grid[r, c] == pytest.approx(s, rel=1e-9)
 
     def test_nonpositive_depth_is_nan(self):
         cam = simple_camera(100.0, 10.0, 10.0)
