@@ -10,18 +10,18 @@ Each piece of the pipeline is built in one place. _read_sections reads
 every config section, the camera file's too, through one table: _SECTIONS,
 and _PRIMITIVES per [primitive.*] type, give each key its value reader and
 say whether it is required. A section or key they do not list is a
-ConfigError. Step tables come from _step_table; the truth pair and its
-cameras from resolve_inputs, which takes the cameras from generate_scene in
-scene mode and from RunConfig.camera_pair (the config and a map shape) in
-import mode; the protocol from run_protocol and report.csv from
-write_report_csv. `sweep` renders the scene, or reads the [inputs] maps,
-once and runs the protocol on those arrays for every step, each step in
-a process of _common.in_processes (forked workers inherit the arrays).
-It prints each step's line in delta order as it arrives; the first
-failing step in delta order ends the command with its error, as in one
-process. `refine` needs only the two descriptions and the config's
-camera sections: it takes the map shape from the descriptions and
-neither renders [scene] nor reads the [inputs] maps.
+ConfigError. Step tables come from _step_table; the [camera] rig from
+geometry.stereo_pair, through generate_scene in scene mode and through
+RunConfig.camera_pair (with a map shape) in import mode and in `refine`;
+the truth pair from resolve_inputs; the protocol from run_protocol and
+report.csv from write_report_csv. `sweep` renders the scene, or reads the
+[inputs] maps, once and runs the protocol on those arrays for every step,
+each step in a process of _common.in_processes (forked workers inherit the
+arrays). It prints each step's line in delta order as it arrives; the
+first failing step in delta order ends the command with its error, as in
+one process. `refine` needs only the two descriptions and the config's
+camera sections: it takes the map shape from the descriptions and neither
+renders [scene] nor reads the [inputs] maps.
 
 run, sweep and refine report PSNRs on maps rounded to 8-bit levels, with
 or without --pgm16, so the numbers match what a user would measure on
@@ -46,7 +46,7 @@ from . import __version__
 from ._common import in_processes
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
 from .errors import ConfigError, DepthPocsError, InvalidInputError, InvalidParameterError
-from .geometry import CameraParams, RectifiedPair, principal_point, simple_camera
+from .geometry import CameraParams, RectifiedPair, stereo_pair
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
 from .pocs import VIEWS, IterationReport, RefineOptions, _keep_freed_memory, refine
@@ -71,11 +71,7 @@ class RunConfig:
         """The cameras for maps of `shape`; a missing cx/cy is the image centre."""
         if self.cameras is not None:
             return self.cameras
-        focal, baseline = self.camera["focal"], self.camera["baseline"]
-        cx, cy = principal_point(shape, self.camera.get("cx"), self.camera.get("cy"))
-        return RectifiedPair(
-            simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
-        )
+        return stereo_pair(shape, **self.camera)
 
 
 # Value readers: the text of one key (never empty) in, its value out, or a
@@ -213,14 +209,14 @@ def load_config(path) -> RunConfig:
             _read_sections(base / inputs["camera_file"], "camera file", _CAMERA_FILE_SECTIONS)
         )
 
-    cameras = camera = None
+    cameras, camera = None, sections.get("camera")
     views = [sections.get(name) for name in _CAMERA_FILE_SECTIONS]
     if any(views):
         if not all(views):
             raise ConfigError("need both [camera.left] and [camera.right]")
+        if camera is not None:
+            raise ConfigError("give either [camera] or [camera.left]/[camera.right], not both")
         cameras = RectifiedPair(*(CameraParams(**view) for view in views))
-    else:
-        camera = sections.get("camera")
 
     scene = pair = None
     if "scene" in sections:

@@ -68,14 +68,6 @@ def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> Camera
     return CameraParams(k, e)
 
 
-def principal_point(
-    shape: tuple[int, int], cx: float | None = None, cy: float | None = None
-) -> tuple[float, float]:
-    """(cx, cy) for maps of shape (height, width); one not given is the image centre."""
-    height, width = shape
-    return (width - 1) / 2.0 if cx is None else cx, (height - 1) / 2.0 if cy is None else cy
-
-
 def is_rectified(a: CameraParams, b: CameraParams) -> bool:
     """True when the two views share K and R and differ only in x-translation."""
     if np.max(np.abs(a.k - b.k)) > _RECTIFIED_TOL:
@@ -102,6 +94,19 @@ class RectifiedPair:
 
     def __post_init__(self):
         require_rectified(self.left, self.right)
+
+
+def stereo_pair(
+    shape: tuple[int, int], focal: float, baseline: float,
+    cx: float | None = None, cy: float | None = None,
+) -> RectifiedPair:
+    """The simple rig for maps of shape (height, width): two simple_camera
+    views, the right one `baseline` along x. A cx or cy not given is the
+    image centre."""
+    height, width = shape
+    cx = (width - 1) / 2.0 if cx is None else cx
+    cy = (height - 1) / 2.0 if cy is None else cy
+    return RectifiedPair(simple_camera(focal, cx, cy), simple_camera(focal, cx, cy, baseline))
 
 
 def projective_scale_grid(cam: CameraParams, depth: np.ndarray, row0: int = 0) -> np.ndarray:

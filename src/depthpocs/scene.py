@@ -30,7 +30,7 @@ import numpy as np
 
 from ._common import in_processes
 from .errors import InvalidSceneError
-from .geometry import RectifiedPair, principal_point, simple_camera
+from .geometry import CameraParams, RectifiedPair, stereo_pair
 
 _RIPPLE_WAVES = 3
 _PLANE_SOLVE_ITERS = 8
@@ -68,9 +68,6 @@ class SceneSpec:
     cy: float | None = None
     seed: int = 0
     noise_amp: float = 0.0
-
-    def principal_point(self) -> tuple[float, float]:
-        return principal_point((self.height, self.width), self.cx, self.cy)
 
 
 @dataclass
@@ -137,11 +134,11 @@ def _box_hits(prim: Box, u: np.ndarray, v: np.ndarray, tx: float) -> np.ndarray:
 
 
 def _render_view(
-    spec: SceneSpec, tx: float, ripple: _Ripple | None
+    spec: SceneSpec, cam: CameraParams, ripple: _Ripple | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    cx, cy = spec.principal_point()
-    cols = (np.arange(spec.width, dtype=np.float64) - cx) / spec.focal
-    rows = (np.arange(spec.height, dtype=np.float64) - cy) / spec.focal
+    k, tx = cam.k, cam.t[0]
+    cols = (np.arange(spec.width, dtype=np.float64) - k[0, 2]) / k[0, 0]
+    rows = (np.arange(spec.height, dtype=np.float64) - k[1, 2]) / k[1, 1]
     u = cols[np.newaxis, :]
     v = rows[:, np.newaxis]
     u, v = np.broadcast_arrays(u, v)
@@ -167,12 +164,11 @@ def _render_view(
 
 
 def _visibility_mask(
-    spec: SceneSpec,
     depth: np.ndarray,
     prim_id: np.ndarray,
     other_prim: np.ndarray,
-    tx: float,
-    other_tx: float,
+    cam: CameraParams,
+    other: CameraParams,
 ) -> np.ndarray:
     # A pixel is flagged visible when its projection into the other view
     # lands inside the image and a one-pixel guard band around the landing
@@ -180,7 +176,7 @@ def _visibility_mask(
     # that leaves the image still does, and the cast stays inside int64.
     h, w = depth.shape
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
-    other_col = cols + spec.focal * (other_tx - tx) / depth
+    other_col = cols + cam.k[0, 0] * (other.t[0] - cam.t[0]) / depth
     base = np.floor(np.clip(other_col, -2, w, out=other_col)).astype(np.int64)
     mask = np.ones(depth.shape, dtype=bool)
     for off in (-1, 0, 1, 2):
@@ -204,19 +200,15 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         raise InvalidSceneError("scene dimensions must be positive")
     if spec.seed < 0:
         raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
-    cx, cy = spec.principal_point()
-    tx_l, tx_r = txs = (0.0, float(spec.baseline))
     # First, so that a camera that is not finite fails before rendering.
-    cameras = RectifiedPair(
-        simple_camera(spec.focal, cx, cy, tx_l),
-        simple_camera(spec.focal, cx, cy, tx_r),
-    )
+    cameras = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
+    cams = (cameras.left, cameras.right)
     ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
     (left, prim_l), (right, prim_r) = in_processes(
-        lambda i: _render_view(spec, txs[i], ripple), 2, "scene render process"
+        lambda i: _render_view(spec, cams[i], ripple), 2, "scene render process"
     )
-    mask_l = _visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r)
-    mask_r = _visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l)
+    mask_l = _visibility_mask(left, prim_l, prim_r, cameras.left, cameras.right)
+    mask_r = _visibility_mask(right, prim_r, prim_l, cameras.right, cameras.left)
     for view, mask in (("left", mask_l), ("right", mask_r)):
         if not mask.any():
             raise InvalidSceneError(

@@ -300,10 +300,10 @@ def project_view(
     dst_cam: CameraParams,
     dst_current,
     *,
-    tau: float = 8.0,
-    sigma_s: float = 2.0,
-    sigma_r: float = 10.0,
-    radius: int = 3,
+    tau: float,
+    sigma_s: float,
+    sigma_r: float,
+    radius: int,
     rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Full view-to-view projection: warp, interpolate, bilateral filter.

@@ -280,7 +280,7 @@ class TestA7IdentityWarp:
         failures = 0
         for _ in range(10):
             m = rng.uniform(0.0, 255.0, (48, 64))
-            out = project_view(m, cam, cam, m, radius=0)
+            out = project_view(m, cam, cam, m, tau=8.0, sigma_s=2.0, sigma_r=10.0, radius=0)
             if not np.array_equal(out, m):
                 failures += 1
         report("A7", failures == 0, f"10 maps, {failures} not bit-identical")

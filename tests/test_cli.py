@@ -199,6 +199,12 @@ e = 1 0 0 4  0 1 0 0  0 0 1 0
 """
 
 
+# The config above with its matrices inline, a [camera] section, and a scene without primitives.
+IMPORT_INLINE = IMPORT_CONFIG.replace("camera_file = cams.ini\n", "")
+CAMERA_ONLY = "[camera]\nfocal = 999\nbaseline = 77\n"
+SCENE_ONLY = "[scene]\nwidth = 64\nheight = 64\n" + CAMERA_ONLY
+
+
 def write_import_config(where, config=IMPORT_CONFIG, camera_file=CAMERA_FILE):
     """An import-mode config with 16x16 maps and a camera file; returns its path."""
     for name in ("l.pgm", "r.pgm"):
@@ -208,17 +214,19 @@ def write_import_config(where, config=IMPORT_CONFIG, camera_file=CAMERA_FILE):
     return where / "c.ini"
 
 
+def rejects(tmp_path, capsys, argv, named):
+    """main(argv) exits 2 with an error naming `named`, and writes nothing under tmp_path."""
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert sorted(tmp_path.rglob("*")) == before
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err, err
+
+
 class TestStrictReader:
     """Every section and key is in the table, or the config exits 2 before
     anything is written, naming the section or key."""
-
-    def _rejects(self, tmp_path, capsys, argv, named):
-        before = sorted(tmp_path.rglob("*"))
-        capsys.readouterr()
-        assert main([str(a) for a in argv]) == 2
-        assert sorted(tmp_path.rglob("*")) == before
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err, err
 
     @pytest.mark.parametrize(
         "old, new, named",
@@ -244,7 +252,7 @@ class TestStrictReader:
     def test_run_rejects(self, tmp_path, capsys, old, new, named):
         cfg = tmp_path / "c.ini"
         cfg.write_text(SMALL_SCENE.replace(old, new))
-        self._rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
+        rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
 
     @pytest.mark.parametrize(
         "old, new, named",
@@ -266,14 +274,14 @@ class TestStrictReader:
         cfg = write_import_config(
             tmp_path, IMPORT_CONFIG.replace(old, new), CAMERA_FILE.replace(old, new)
         )
-        self._rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
+        rejects(tmp_path, capsys, ["run", cfg, "-o", tmp_path / "out"], named)
 
     def test_refine_verb_rejects(self, coded, tmp_path, capsys):
         cfg = tmp_path / "typo.ini"
         cfg.write_text(SMALL_SCENE.replace("max_iters = 3", "max_iter = 3"))
         argv = ["refine", cfg, "--left-desc", coded["left"], "--right-desc", coded["right"],
                 "-o", tmp_path / "ref"]
-        self._rejects(tmp_path, capsys, argv, "'max_iter'")
+        rejects(tmp_path, capsys, argv, "'max_iter'")
 
     def test_percent_is_literal(self, tmp_path):
         cfg = write_import_config(tmp_path, IMPORT_CONFIG.replace("l.pgm", "50%.pgm"))
@@ -357,8 +365,8 @@ def _sections_of(text: str) -> dict[str, dict[str, str]]:
 
 _BASES = [
     _sections_of(SMALL_SCENE),
-    _sections_of(IMPORT_CONFIG + "[camera]\nfocal = 100\nbaseline = 4\n"),
-    _sections_of(IMPORT_CONFIG.replace("camera_file = cams.ini\n", "") + CAMERA_FILE),
+    _sections_of(IMPORT_INLINE + "[camera]\nfocal = 100\nbaseline = 4\n"),
+    _sections_of(IMPORT_INLINE + CAMERA_FILE),
 ]
 
 
@@ -691,9 +699,15 @@ class TestPieceWiseVerbs:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_refine_matches_run(self, small_cfg, tmp_path):
+    @pytest.mark.parametrize(
+        "camera", ["focal = 120.0\n", "focal = 117.3\ncx = 21.7\n"], ids=["centred", "off-centre"]
+    )
+    def test_refine_matches_run(self, tmp_path, camera):
         # refine builds its cameras from the config and the descriptions'
-        # shape, run takes generate_scene's; they must agree exactly.
+        # shape, run takes generate_scene's; they must agree exactly, with
+        # the principal point at the centre or off it (cy left to its default).
+        small_cfg = tmp_path / "scene.ini"
+        small_cfg.write_text(SMALL_SCENE.replace("focal = 120.0\n", camera))
         run_out, ref_out = tmp_path / "run", tmp_path / "ref"
         assert main(["run", str(small_cfg), "-o", str(run_out)]) == 0
         assert main([
@@ -966,6 +980,29 @@ class TestExitCodes:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "config, verb, named",
+        [
+            (IMPORT_CONFIG + CAMERA_ONLY, ["run"], "not both"),
+            (IMPORT_INLINE + CAMERA_FILE + CAMERA_ONLY, ["run"], "not both"),
+            (IMPORT_INLINE + CAMERA_FILE.split("[camera.right]")[0], ["run"], "need both"),
+            (IMPORT_INLINE, ["run"], "import mode needs"),
+            (IMPORT_CONFIG.replace("r.pgm", "wide.pgm"), ["run"], "disagree in size"),
+            (IMPORT_CONFIG, ["generate"], "generate needs"),
+            (SCENE_ONLY, ["run"], "at least one [primitive.*]"),
+            (SMALL_SCENE.replace("width = 64", "width = 0"), ["run"], "must be positive"),
+            (SMALL_SCENE, ["sweep", "--deltas", ","], "at least one value"),
+        ],
+        ids=[
+            "camera-and-camera-file", "camera-and-matrices", "one-matrix", "import-no-camera",
+            "maps-disagree", "generate-import", "no-primitive", "width-0", "no-deltas",
+        ],
+    )
+    def test_bad_config_is_2_before_artifacts(self, tmp_path, capsys, config, verb, named):
+        cfg = write_import_config(tmp_path, config)
+        write_pgm(tmp_path / "wide.pgm", np.full((16, 24), 90.0))
+        rejects(tmp_path, capsys, [verb[0], cfg, "-o", tmp_path / "out", *verb[1:]], named)
 
     @pytest.mark.parametrize("odd", ["--right-desc", "--truth-left"])
     def test_refine_shape_mismatch_is_2(self, small_cfg, coded, tmp_path, capsys, odd):

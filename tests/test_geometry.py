@@ -16,6 +16,7 @@ from depthpocs.geometry import (
     is_rectified,
     projective_scale_grid,
     simple_camera,
+    stereo_pair,
 )
 from geometry_oracle import (
     BehindCameraError,
@@ -175,6 +176,8 @@ class TestRectifiedPair:
         b_ty = CameraParams(a.k.copy(), e)
         with pytest.raises(InvalidConfigurationError):
             RectifiedPair(a, b_ty)
+        b_turned = CameraParams(a.k.copy(), np.hstack([rot_z(0.1), np.zeros((3, 1))]))
+        assert not is_rectified(a, b_turned)
 
     def test_rectified_accepts_pure_baseline(self):
         a = simple_camera(100.0, 5.0, 5.0, 0.0)
@@ -182,6 +185,17 @@ class TestRectifiedPair:
         assert is_rectified(a, b)
         pair = RectifiedPair(a, b)
         assert pair.right.t[0] - pair.left.t[0] == -7.5
+
+    def test_stereo_pair(self):
+        # 5 rows, 8 columns: the default principal point is the centre (3.5, 2).
+        pair = stereo_pair((5, 8), 117.3, -4.5)
+        want = simple_camera(117.3, 3.5, 2.0)
+        assert np.array_equal(pair.left.k, want.k) and np.array_equal(pair.left.e, want.e)
+        assert np.array_equal(pair.right.e, simple_camera(117.3, 3.5, 2.0, -4.5).e)
+        assert np.array_equal(pair.right.k, want.k)
+        pair = stereo_pair((5, 8), 117.3, 6.0, cx=21.7)
+        assert pair.left.k[0, 2] == 21.7 and pair.right.k[1, 2] == 2.0
+        assert stereo_pair((5, 8), 117.3, 6.0, cy=-1.25).left.k[:2, 2].tolist() == [3.5, -1.25]
 
 
 class TestCameraValidation:

@@ -248,6 +248,16 @@ class TestRefine:
         with pytest.raises(InvalidConfigurationError):
             refine(dl, dr, a, b)
 
+    def test_truth_must_be_a_finite_map(self):
+        const = np.full((16, 16), 100.0)
+        dl = encode_map(const, flat_table(16.0))
+        cam = simple_camera(100.0, 7.5, 7.5)
+        nan = const.copy()
+        nan[3, 4] = np.nan
+        for truth, message in ((nan, "left truth contains non-finite"), (const[None], "2D")):
+            with pytest.raises(InvalidInputError, match=message):
+                refine(dl, dl, cam, cam, RefineOptions(), (truth, const))
+
     def test_option_validation(self):
         with pytest.raises(InvalidParameterError):
             RefineOptions(max_iters=0)

@@ -12,7 +12,7 @@ import pytest
 
 from depthpocs import scene
 from depthpocs.errors import DepthPocsError, InvalidSceneError
-from depthpocs.geometry import is_rectified
+from depthpocs.geometry import is_rectified, stereo_pair
 from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 from depthpocs.warp import project_view
 
@@ -45,7 +45,7 @@ class TestRendering:
         a, b, c0 = 0.25, -0.1, 150.0
         spec = spec_with([Plane(a, b, c0, ripple=False)])
         gen = generate_scene(spec)
-        cx, cy = spec.principal_point()
+        cx = cy = 31.5  # the centre of the 64x64 views
         for tx, depth in ((0.0, gen.left), (spec.baseline, gen.right)):
             cols = (np.arange(64) - cx) / spec.focal
             rows = (np.arange(64) - cy) / spec.focal
@@ -60,7 +60,7 @@ class TestRendering:
         a, b, c0 = 0.25, -0.1, 150.0
         spec = spec_with([Plane(a, b, c0, ripple=False)])
         gen = generate_scene(spec)
-        cx, cy = spec.principal_point()
+        cx = cy = 31.5  # the centre of the 64x64 views
         f = spec.focal
         rng = np.random.default_rng(91)
         for _ in range(200):
@@ -132,7 +132,8 @@ class TestConsistency:
     def test_warped_left_truth_matches_right_truth(self):
         gen = generate_scene(demo_scene())
         warped = project_view(
-            gen.left, gen.cameras.left, gen.cameras.right, gen.right, radius=0
+            gen.left, gen.cameras.left, gen.cameras.right, gen.right,
+            tau=8.0, sigma_s=2.0, sigma_r=10.0, radius=0,
         )
         err = np.abs(warped - gen.right)[gen.mask_right]
         assert float(err.max()) <= 0.5
@@ -140,7 +141,8 @@ class TestConsistency:
     def test_reverse_direction_consistent(self):
         gen = generate_scene(demo_scene())
         warped = project_view(
-            gen.right, gen.cameras.right, gen.cameras.left, gen.left, radius=0
+            gen.right, gen.cameras.right, gen.cameras.left, gen.left,
+            tau=8.0, sigma_s=2.0, sigma_r=10.0, radius=0,
         )
         err = np.abs(warped - gen.left)[gen.mask_left]
         assert float(err.max()) <= 0.5
@@ -201,14 +203,14 @@ def flat_scene() -> SceneSpec:
 def one_view_at_a_time(spec: SceneSpec) -> tuple[np.ndarray, ...]:
     """Oracle: left then right view in this process, then both masks."""
     ripple = scene._Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
-    tx_l, tx_r = 0.0, float(spec.baseline)
-    left, prim_l = scene._render_view(spec, tx_l, ripple)
-    right, prim_r = scene._render_view(spec, tx_r, ripple)
+    cams = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
+    left, prim_l = scene._render_view(spec, cams.left, ripple)
+    right, prim_r = scene._render_view(spec, cams.right, ripple)
     return (
         left,
         right,
-        scene._visibility_mask(spec, left, prim_l, prim_r, tx_l, tx_r),
-        scene._visibility_mask(spec, right, prim_r, prim_l, tx_r, tx_l),
+        scene._visibility_mask(left, prim_l, prim_r, cams.left, cams.right),
+        scene._visibility_mask(right, prim_r, prim_l, cams.right, cams.left),
     )
 
 
@@ -283,7 +285,8 @@ class TestForkedRender:
         # The box covers the left view's every ray; shifted by the baseline,
         # the right view's first 18 columns miss it.
         spec = spec_with([Box(-14.0, 100.0, -50.0, 50.0, 50.0)])
-        assert np.isfinite(scene._render_view(spec, 0.0, None)[0]).all()
+        left = stereo_pair((64, 64), spec.focal, spec.baseline).left
+        assert np.isfinite(scene._render_view(spec, left, None)[0]).all()
         with pytest.raises(InvalidSceneError) as serial:
             one_view_at_a_time(spec)
         assert str(serial.value) == "1152 pixels not covered by any primitive"

@@ -30,6 +30,10 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# project_view's interpolation tolerance and bilateral weights, the defaults of RefineOptions.
+FILTER = {"tau": 8.0, "sigma_s": 2.0, "sigma_r": 10.0}
+
+
 def cam_pair(focal=100.0, cx=32.0, cy=32.0, baseline=10.0):
     return simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
 
@@ -376,13 +380,13 @@ class TestProjectView:
         rng = np.random.default_rng(76)
         cam = simple_camera(150.0, 15.5, 15.5)
         m = rng.uniform(0.0, 255.0, (32, 32))
-        out = project_view(m, cam, cam, m, radius=0)
+        out = project_view(m, cam, cam, m, **FILTER, radius=0)
         assert np.array_equal(out, m)
 
     def test_constant_map_stays_constant(self):
         left, right = cam_pair(focal=120.0, cx=23.5, cy=23.5, baseline=6.0)
         m = np.full((48, 48), 90.0)
-        out = project_view(m, left, right, m)
+        out = project_view(m, left, right, m, **FILTER, radius=3)
         assert np.array_equal(out, m)
 
     def test_hole_stability_before_filtering(self):
@@ -396,13 +400,13 @@ class TestProjectView:
     def test_shape_mismatch(self):
         left, right = cam_pair()
         with pytest.raises(InvalidInputError):
-            project_view(np.ones((8, 8)), left, right, np.ones((8, 9)))
+            project_view(np.ones((8, 8)), left, right, np.ones((8, 9)), **FILTER, radius=3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(78)
         left, right = cam_pair(focal=90.0, cx=15.5, cy=15.5, baseline=5.0)
         m = np.clip(rng.normal(120, 25, (32, 32)), 20, 240)
         cur = np.clip(rng.normal(120, 25, (32, 32)), 20, 240)
-        a = project_view(m, left, right, cur)
-        b = project_view(m, left, right, cur)
+        a = project_view(m, left, right, cur, **FILTER, radius=3)
+        b = project_view(m, left, right, cur, **FILTER, radius=3)
         assert np.array_equal(a, b)
