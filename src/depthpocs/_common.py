@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 
-from .errors import DepthPocsError, InvalidInputError
+from .errors import DepthPocsError, InvalidInputError, InvalidParameterError
 
 
 def as_map(a, name: str = "map") -> np.ndarray:
@@ -26,7 +26,7 @@ def as_map(a, name: str = "map") -> np.ndarray:
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:
-        raise InvalidInputError(f"{what}: shape mismatch {a.shape} vs {b.shape}")
+        raise InvalidParameterError(f"{what}: shape mismatch {a.shape} vs {b.shape}")
 
 
 # The pids of the Forked children this process has started and not yet

@@ -27,7 +27,8 @@ run, sweep and refine report PSNRs on maps rounded to 8-bit levels, with
 or without --pgm16, so the numbers match what a user would measure on
 8-bit PGMs of the maps. evaluate scores the maps as read: 16-bit files
 keep their fractions of a level. Exit codes: 0 ok, 2 invalid
-configuration, 3 I/O failure, 4 numerical failure or too little memory.
+configuration or argument, 3 I/O failure, 4 numerical failure or too
+little memory: each library error carries its code (see depthpocs.errors).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from . import __version__
 from ._common import in_processes
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
-from .errors import ConfigError, DepthPocsError, InvalidInputError, InvalidParameterError
+from .errors import ConfigError, DepthPocsError, InvalidParameterError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
@@ -188,12 +189,9 @@ def _step_table(delta: float | None = None, quality: int | None = None) -> np.nd
     """Flat table of step delta (24 when neither is given) or JPEG-style table."""
     if delta is not None and quality is not None:
         raise ConfigError("give either a step size (delta) or a quality, not both")
-    try:
-        if quality is not None:
-            return jpeg_table(quality)
-        return flat_table(24.0 if delta is None else delta)
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
+    if quality is not None:
+        return jpeg_table(quality)
+    return flat_table(24.0 if delta is None else delta)
 
 
 def load_config(path) -> RunConfig:
@@ -301,7 +299,6 @@ class RunResult:
     q_smo: QualityScore
     q_our: QualityScore
     report: IterationReport
-    outdir: Path
 
     def scores(self) -> str:
         """Q_std, Q_smo and Q_our as printed by run and sweep."""
@@ -337,7 +334,7 @@ def run_protocol(
         quality_g(*pair, *truth, round_to_int=True) for pair in maps.values()
     )
     write_report_csv(outdir / "report.csv", report, (q_std, q_smo, q_our))
-    return RunResult(q_std, q_smo, q_our, report, outdir)
+    return RunResult(q_std, q_smo, q_our, report)
 
 
 def _cmd_generate(args) -> int:
@@ -373,21 +370,10 @@ def _cmd_refine(args) -> int:
     config = load_config(args.config)
     desc_l = QuantizedDescription.load(args.left_desc)
     desc_r = QuantizedDescription.load(args.right_desc)
-    shape = (desc_l.orig_height, desc_l.orig_width)
-    if (desc_r.orig_height, desc_r.orig_width) != shape:
-        raise ConfigError(
-            f"descriptions disagree in size: {shape} vs "
-            f"{(desc_r.orig_height, desc_r.orig_width)}"
-        )
-    cameras = config.camera_pair(shape)
+    cameras = config.camera_pair((desc_l.orig_height, desc_l.orig_width))
     truth = None
     if args.truth_left is not None:
         truth = (read_pgm(args.truth_left), read_pgm(args.truth_right))
-        for view, t in zip(VIEWS, truth):
-            if t.shape != shape:
-                raise ConfigError(
-                    f"--truth-{view} is {t.shape}, the descriptions are {shape}"
-                )
     *our, report = refine(desc_l, desc_r, cameras.left, cameras.right, config.options, truth)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

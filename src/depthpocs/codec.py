@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import as_map
-from .errors import CorruptDescriptionError, InvalidInputError
+from .errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
 
 BLOCK = 8
 QDM_MAGIC = b"QDM1"
@@ -71,9 +71,11 @@ _MIN_STEP = 2.0**-20
 def flat_table(delta: float) -> np.ndarray:
     """Step table with the same step size for all 64 coefficients."""
     if not np.isfinite(delta) or delta <= 0:
-        raise InvalidInputError(f"step size must be positive, got {delta}")
+        raise InvalidParameterError(f"step size must be positive, got {delta}")
     if delta < _MIN_STEP:
-        raise InvalidInputError(f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {delta}")
+        raise InvalidParameterError(
+            f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {delta}"
+        )
     return np.full((BLOCK, BLOCK), float(delta))
 
 
@@ -81,7 +83,7 @@ def jpeg_table(quality: int) -> np.ndarray:
     """Luminance-style step table scaled by a quality factor in [1, 100]."""
     q = int(quality)
     if not 1 <= q <= 100:
-        raise InvalidInputError(f"quality must be in [1, 100], got {quality}")
+        raise InvalidParameterError(f"quality must be in [1, 100], got {quality}")
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     steps = np.floor((_JPEG_BASE * scale + 50.0) / 100.0)
     return np.clip(steps, 1.0, 255.0)
@@ -182,6 +184,24 @@ def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     return (
         blocks.reshape(bh, bw, BLOCK, BLOCK).swapaxes(1, 2).reshape(height, width)
     )
+
+
+def project_to_bins(band, bounds: BinConstraints, row: int) -> tuple[np.ndarray, int]:
+    """Project rows [row, row + len(band)) of a view onto their blocks' bins.
+
+    row is on a block row; bounds are the whole view's. The band is padded
+    to blocks, transformed, clipped, transformed back and cropped to its
+    shape. Returns the projected band and the count of clipped coefficients:
+    a coefficient moves exactly when it lies outside its bin.
+    """
+    padded = pad_to_blocks(band)
+    coeffs = dct_blocks(split_blocks(padded))
+    first = row // BLOCK * (padded.shape[1] // BLOCK)
+    mine = slice(first, first + len(coeffs))
+    clipped = clip_to_bins(coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]))
+    n_out = int(np.count_nonzero(clipped != coeffs))
+    rebuilt = merge_blocks(idct_blocks(clipped), *padded.shape)
+    return rebuilt[: band.shape[0], : band.shape[1]], n_out
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Everything raised on purpose by this package derives from DepthPocsError,
 so callers can catch library failures in one clause. Each class carries
 the process exit code the CLI returns for it: 2 for an invalid
-configuration, 3 for an unreadable file, 4 for every other failure.
+configuration or argument (a step size, a quality, an option, maps of
+different sizes), 3 for an unreadable file, 4 for every other failure.
 """
 
 
@@ -27,8 +28,8 @@ class InvalidConfigurationError(DepthPocsError, ValueError):
     exit_code = 2
 
 
-class InvalidParameterError(DepthPocsError, ValueError):
-    """A tuning parameter is outside its allowed range."""
+class InvalidParameterError(InvalidInputError):
+    """An option, step size or quality out of range, or maps of different sizes."""
 
     exit_code = 2
 

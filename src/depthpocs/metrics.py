@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import as_map, require_same_shape
+from .pgm import round8
 
 PEAK = 255.0
 
@@ -22,12 +23,6 @@ class QualityScore:
     g: float
 
 
-def _round8(m: np.ndarray) -> np.ndarray:
-    out = np.add(m, 0.5)
-    np.floor(out, out=out)
-    return np.clip(out, 0.0, 255.0, out=out)
-
-
 def psnr(a, b, *, round_to_int: bool = False) -> float:
     """10*log10(255^2 / MSE) in dB; identical inputs give math.inf.
 
@@ -38,8 +33,8 @@ def psnr(a, b, *, round_to_int: bool = False) -> float:
     mb = as_map(b, "b")
     require_same_shape(ma, mb, "psnr")
     if round_to_int:
-        ma = _round8(ma)
-        mb = _round8(mb)
+        ma = round8(ma)
+        mb = round8(mb)
     err = np.subtract(ma, mb)
     mse = float(np.mean(np.multiply(err, err, out=err)))
     if mse == 0.0:

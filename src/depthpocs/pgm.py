@@ -14,13 +14,20 @@ from ._common import as_map
 from .errors import PgmFormatError
 
 
+def round8(m: np.ndarray) -> np.ndarray:
+    """The levels an 8-bit file stores: floor(m + 0.5) clamped to [0, 255], as float64."""
+    out = np.add(m, 0.5)
+    np.floor(out, out=out)
+    return np.clip(out, 0.0, 255.0, out=out)
+
+
 def write_pgm(path, map_, *, deep: bool = False) -> None:
     m = as_map(map_)
     if deep:
         data = np.clip(np.floor(m * 256.0 + 0.5), 0, 65535).astype(">u2")
         maxval = 65535
     else:
-        data = np.clip(np.floor(m + 0.5), 0, 255).astype(np.uint8)
+        data = round8(m).astype(np.uint8)
         maxval = 255
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:

@@ -40,19 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import Forked, as_map, fork_cpus, require_same_shape
-from .codec import (
-    BLOCK,
-    BinConstraints,
-    QuantizedDescription,
-    bin_bounds,
-    clip_to_bins,
-    dct_blocks,
-    decode_map,
-    idct_blocks,
-    merge_blocks,
-    pad_to_blocks,
-    split_blocks,
-)
+from .codec import BLOCK, QuantizedDescription, bin_bounds, decode_map, project_to_bins
 from .errors import DepthPocsError, InvalidInputError, InvalidParameterError, NumericalError
 from .geometry import CameraParams, require_rectified
 from .metrics import psnr
@@ -217,20 +205,11 @@ class _Stripes:
     def _stripe(self, src, cur, out, index, src_cam, dst_cam, options, *, rows) -> int:
         """Write rows [a, b) of the half-iteration's output into out; return its clip count."""
         a, b = rows
-        desc, bounds = self.descs[index], self.bounds[index]
         warped = project_view(
             src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
             sigma_r=options.sigma_r, radius=options.radius, rows=rows,
         )
-        padded = pad_to_blocks(warped)
-        coeffs = dct_blocks(split_blocks(padded))
-        first = a // BLOCK * (desc.width // BLOCK)
-        mine = slice(first, first + len(coeffs))
-        clipped = clip_to_bins(coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]))
-        # A coefficient moves exactly when it lies outside its bin.
-        n_out = int(np.count_nonzero(clipped != coeffs))
-        rebuilt = merge_blocks(idct_blocks(clipped), *padded.shape)
-        out[a:b] = rebuilt[: b - a, : desc.orig_width]
+        out[a:b], n_out = project_to_bins(warped, self.bounds[index], a)
         return n_out
 
     def run(self, desc, src, cur, src_cam, dst_cam, options) -> tuple[np.ndarray, int]:
@@ -286,9 +265,9 @@ def half_iteration(
     """
     s = as_map(src, "source map")
     cur = as_map(dst_current, "target map")
-    require_same_shape(s, cur, "half_iteration")
+    require_same_shape(s, cur, "source and target maps")
     if cur.shape != (dst_desc.orig_height, dst_desc.orig_width):
-        raise InvalidInputError(
+        raise InvalidParameterError(
             f"map shape {cur.shape} does not match description "
             f"({dst_desc.orig_height}, {dst_desc.orig_width})"
         )
@@ -341,7 +320,7 @@ def refine(
     descs = (left_desc, right_desc)
     cams = (left_cam, right_cam)
     maps = [decode_map(desc) for desc in descs]
-    require_same_shape(*maps, "decoded views")
+    require_same_shape(*maps, "left and right descriptions")
 
     truths = None
     if ground_truth is not None:

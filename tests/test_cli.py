@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 
 from depthpocs import cli, errors, pocs, scene
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
+from depthpocs.codec import encode_map, flat_table, jpeg_table
 from depthpocs.errors import ConfigError
-from depthpocs.metrics import quality_g
+from depthpocs.geometry import stereo_pair
+from depthpocs.metrics import psnr, quality_g
 from depthpocs.pgm import read_pgm, write_pgm
 
 SMALL_SCENE = """
@@ -931,7 +933,34 @@ README_EXIT_CODES = {
 }
 
 
+def _refine_16(right_width=16, truth_width=16):
+    """refine on a 16x16 left description, a 16 x right_width right one and
+    a 16 x truth_width left truth."""
+    descs = [encode_map(np.full((16, w), 90.0), flat_table(16.0)) for w in (16, right_width)]
+    cams = stereo_pair((16, 16), focal=100.0, baseline=4.0)
+    truth = (np.full((16, truth_width), 90.0), np.full((16, 16), 90.0))
+    pocs.refine(*descs, cams.left, cams.right, ground_truth=truth)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: flat_table(0),
+            lambda: jpeg_table(0),
+            lambda: _refine_16(right_width=24),
+            lambda: _refine_16(truth_width=24),
+            lambda: psnr(np.zeros((16, 16)), np.zeros((16, 24))),
+        ],
+        ids=["flat-table-0", "jpeg-table-0", "refine-descriptions", "refine-truth", "psnr"],
+    )
+    def test_library_argument_error_carries_2(self, call):
+        # The code the CLI returns for the same fault (test_bad_step_size_is_2_before_artifacts,
+        # test_refine_shape_mismatch_is_2), with no re-raise in between.
+        with pytest.raises(errors.InvalidInputError) as info:
+            call()
+        assert info.value.exit_code == 2, info.value
+
     @pytest.mark.parametrize(
         "error",
         sorted(
@@ -1071,9 +1100,9 @@ class TestParser:
             main(["--version"])
 
 
-def _load_bench_instrument():
-    path = Path(__file__).resolve().parent.parent / "bench" / "instrument.py"
-    spec = importlib.util.spec_from_file_location("bench_instrument", path)
+def _load_bench(name):
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1083,7 +1112,7 @@ class TestBenchContract:
     """The benchmark patches names in the program's modules; they must exist."""
 
     def test_wrapped_names_exist(self):
-        instrument = _load_bench_instrument()
+        instrument = _load_bench("instrument")
         for module, names in instrument.WRAPPED.items():
             for name in names:
                 assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
@@ -1093,9 +1122,26 @@ class TestBenchContract:
             assert name in depthpocs.cli.QuantizedDescription.__dict__, name
 
     def test_half_iteration_parameters_read_by_probe(self):
-        instrument = _load_bench_instrument()
+        instrument = _load_bench("instrument")
         import depthpocs.pocs
 
         read = set(re.findall(r'bound\["(\w+)"\]', inspect.getsource(instrument.Probe.after)))
         params = set(inspect.signature(depthpocs.pocs.half_iteration).parameters)
         assert read and read <= params, read - params
+
+    def test_hooks_trace_and_probe_refine_on_two_stripes(self, monkeypatch, small_cfg):
+        instrument, spans = _load_bench("instrument"), _load_bench("spans")
+        config = load_config(small_cfg)
+        gen = cli.resolve_inputs(config)
+        descs = [encode_map(t, config.table) for t in (gen.left, gen.right)]
+        monkeypatch.setattr(pocs, "_stripe_count", lambda height, width, max_iters: 2)
+        tracer = spans.Tracer()
+        probe = instrument.Probe(tracer)
+        with instrument.instrumented(tracer, probe):
+            *_, report = pocs.refine(
+                *descs, gen.cameras.left, gen.cameras.right, config.options, (gen.left, gen.right)
+            )
+        halves = [s for s in tracer.spans if s.name == "pocs.half_iter"]
+        assert len(halves) == len(report.entries) == 2 * report.iterations
+        assert probe.coefficients == len(halves) * descs[0].n_blocks * 64
+        assert probe.mismatches == 0 and probe.a2_violations == 0
