@@ -85,7 +85,10 @@ def _number(raw: str) -> float:
 
 
 def _integer(raw: str) -> int:
-    value = _number(raw)
+    try:
+        return int(raw)  # a digit string keeps every digit
+    except ValueError:
+        value = _number(raw)  # a form like 3.0 or 1e3
     if not value.is_integer():
         raise ValueError(f"{raw!r} is not an integer")
     return int(value)
@@ -370,7 +373,7 @@ def _cmd_refine(args) -> int:
     config = load_config(args.config)
     desc_l = QuantizedDescription.load(args.left_desc)
     desc_r = QuantizedDescription.load(args.right_desc)
-    cameras = config.camera_pair((desc_l.orig_height, desc_l.orig_width))
+    cameras = config.camera_pair(desc_l.shape)
     truth = None
     if args.truth_left is not None:
         truth = (read_pgm(args.truth_left), read_pgm(args.truth_right))

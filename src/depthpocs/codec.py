@@ -186,19 +186,20 @@ def merge_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
     )
 
 
-def project_to_bins(band, bounds: BinConstraints, row: int) -> tuple[np.ndarray, int]:
+def project_to_bins(band, desc: QuantizedDescription, row: int) -> tuple[np.ndarray, int]:
     """Project rows [row, row + len(band)) of a view onto their blocks' bins.
 
-    row is on a block row; bounds are the whole view's. The band is padded
-    to blocks, transformed, clipped, transformed back and cropped to its
-    shape. Returns the projected band and the count of clipped coefficients:
-    a coefficient moves exactly when it lies outside its bin.
+    row is on a block row; desc is the whole view's description. The band
+    is padded to blocks, transformed, clipped against the bounds of its
+    blocks, transformed back and cropped to its shape. Returns the projected
+    band and the count of clipped coefficients: a coefficient moves exactly
+    when it lies outside its bin.
     """
     padded = pad_to_blocks(band)
     coeffs = dct_blocks(split_blocks(padded))
     first = row // BLOCK * (padded.shape[1] // BLOCK)
-    mine = slice(first, first + len(coeffs))
-    clipped = clip_to_bins(coeffs, BinConstraints(bounds.lo[mine], bounds.hi[mine]))
+    bounds = bin_bounds(desc.indices[first : first + len(coeffs)], desc.table)
+    clipped = clip_to_bins(coeffs, bounds)
     n_out = int(np.count_nonzero(clipped != coeffs))
     rebuilt = merge_blocks(idct_blocks(clipped), *padded.shape)
     return rebuilt[: band.shape[0], : band.shape[1]], n_out
@@ -208,35 +209,37 @@ def project_to_bins(band, bounds: BinConstraints, row: int) -> tuple[np.ndarray,
 class QuantizedDescription:
     """Everything the decoder knows about one coded view.
 
-    width/height are the padded dimensions (multiples of 8); indices holds
-    one (8, 8) int32 block of bin indices per block, in row-major block
-    order; table is the shared step table.
+    orig_width/orig_height are the map's size; the coded (padded) size is
+    the next multiple of 8 of each. indices holds one (8, 8) int32 block of
+    bin indices per block, in row-major block order; table is the shared
+    step table.
     """
 
-    width: int
-    height: int
     orig_width: int
     orig_height: int
     table: np.ndarray
     indices: np.ndarray
 
     @property
+    def width(self) -> int:
+        return self.orig_width + (-self.orig_width) % BLOCK
+
+    @property
+    def height(self) -> int:
+        return self.orig_height + (-self.orig_height) % BLOCK
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The map's (rows, columns)."""
+        return self.orig_height, self.orig_width
+
+    @property
     def n_blocks(self) -> int:
         return (self.width // BLOCK) * (self.height // BLOCK)
 
     def validate(self) -> None:
-        if self.width % BLOCK or self.height % BLOCK:
-            raise CorruptDescriptionError(
-                f"padded dims {self.width}x{self.height} not multiples of {BLOCK}"
-            )
-        if not (0 < self.orig_width <= self.width < self.orig_width + BLOCK):
-            raise CorruptDescriptionError(
-                f"orig width {self.orig_width} inconsistent with padded {self.width}"
-            )
-        if not (0 < self.orig_height <= self.height < self.orig_height + BLOCK):
-            raise CorruptDescriptionError(
-                f"orig height {self.orig_height} inconsistent with padded {self.height}"
-            )
+        if self.orig_width < 1 or self.orig_height < 1:
+            raise CorruptDescriptionError(f"empty map size {self.orig_width}x{self.orig_height}")
         if self.indices.shape != (self.n_blocks, BLOCK, BLOCK):
             raise CorruptDescriptionError(
                 f"expected {self.n_blocks} blocks, got indices shape {self.indices.shape}"
@@ -271,8 +274,6 @@ class QuantizedDescription:
             .astype(np.float64)
         )
         off += 8 * n_steps
-        if width % BLOCK or height % BLOCK:
-            raise CorruptDescriptionError("padded dims not multiples of 8")
         n_blocks = (width // BLOCK) * (height // BLOCK)
         need = n_blocks * n_steps
         if len(data) != off + 4 * need:
@@ -284,7 +285,9 @@ class QuantizedDescription:
             .reshape(n_blocks, BLOCK, BLOCK)
             .astype(np.int32)
         )
-        desc = cls(width, height, ow, oh, table, indices)
+        desc = cls(ow, oh, table, indices)
+        if (width, height) != (desc.width, desc.height):
+            raise CorruptDescriptionError(f"padded size {width}x{height} does not fit {ow}x{oh}")
         desc.validate()
         return desc
 
@@ -304,16 +307,9 @@ def encode_map(map_, table) -> QuantizedDescription:
     if m.size == 0:
         raise InvalidInputError("cannot encode an empty map")
     t = _check_table(table)
-    padded = pad_to_blocks(m)
-    coeffs = dct_blocks(split_blocks(padded))
-    indices = quantize(coeffs, t)
+    indices = quantize(dct_blocks(split_blocks(pad_to_blocks(m))), t)
     return QuantizedDescription(
-        width=padded.shape[1],
-        height=padded.shape[0],
-        orig_width=m.shape[1],
-        orig_height=m.shape[0],
-        table=t,
-        indices=indices,
+        orig_width=m.shape[1], orig_height=m.shape[0], table=t, indices=indices
     )
 
 

@@ -75,8 +75,8 @@ def read_pgm(path) -> np.ndarray:
         raise PgmFormatError(
             f"expected {count * itemsize} payload bytes, got {len(data) - offset}"
         )
-    if maxval > 255:
-        raw = np.frombuffer(data, dtype=">u2", count=count, offset=offset)
-        return raw.reshape(height, width).astype(np.float64) / 256.0
-    raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
-    return raw.reshape(height, width).astype(np.float64)
+    raw = np.frombuffer(data, dtype=f">u{itemsize}", count=count, offset=offset)
+    if raw.max() > maxval:
+        raise PgmFormatError(f"a sample of {raw.max()} is above maxval {maxval}")
+    levels = raw.reshape(height, width).astype(np.float64)
+    return levels / 256.0 if itemsize == 2 else levels

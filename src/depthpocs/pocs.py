@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._common import Forked, as_map, fork_cpus, require_same_shape
-from .codec import BLOCK, QuantizedDescription, bin_bounds, decode_map, project_to_bins
+from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
 from .errors import DepthPocsError, InvalidInputError, InvalidParameterError, NumericalError
 from .geometry import CameraParams, require_rectified
 from .metrics import psnr
@@ -160,24 +160,22 @@ def _keep_freed_memory() -> None:
 class _Stripes:
     """The stripes of refine's half-iterations and what they share.
 
-    Holds the bin bounds of each description, built once, and the stripes
-    of a map of `shape`. A context with more than one stripe forks a
-    worker (a _common.Forked) for every stripe after the first when it is
-    built; the worker computes that stripe for the context's whole life,
-    while the parent computes the first one. The whole source and target
-    maps travel through anonymous shared memory mapped before the fork, so
-    only project_view knows which rows a stripe reads. Each request
-    carries the other arguments of a half-iteration, and each reply a clip
-    count. Where the shared memory, a pipe or a worker cannot be had, the
-    workers already forked end and the context keeps one stripe. Leaving
-    the context ends the workers.
+    Holds the descriptions and the stripes of a map of `shape`. A context
+    with more than one stripe forks a worker (a _common.Forked) for every
+    stripe after the first when it is built; the worker computes that
+    stripe for the context's whole life, while the parent computes the
+    first one. The whole source and target maps travel through anonymous
+    shared memory mapped before the fork, so only project_view knows which
+    rows a stripe reads. Each request carries the other arguments of a
+    half-iteration, and each reply a clip count. Where the shared memory, a
+    pipe or a worker cannot be had, the workers already forked end and the
+    context keeps one stripe. Leaving the context ends the workers.
     """
 
     def __init__(self, descs, shape: tuple[int, int], count: int = 1):
         # Before the fork, so that the workers inherit the policy.
         _keep_freed_memory()
         self.descs = tuple(descs)
-        self.bounds = [bin_bounds(d.indices, d.table) for d in self.descs]
         self.rows = _stripe_rows(shape[0], count)
         self.workers: list[Forked] = []
         if len(self.rows) > 1:
@@ -209,7 +207,7 @@ class _Stripes:
             src, src_cam, dst_cam, cur, tau=options.tau, sigma_s=options.sigma_s,
             sigma_r=options.sigma_r, radius=options.radius, rows=rows,
         )
-        out[a:b], n_out = project_to_bins(warped, self.bounds[index], a)
+        out[a:b], n_out = project_to_bins(warped, self.descs[index], a)
         return n_out
 
     def run(self, desc, src, cur, src_cam, dst_cam, options) -> tuple[np.ndarray, int]:
@@ -266,10 +264,9 @@ def half_iteration(
     s = as_map(src, "source map")
     cur = as_map(dst_current, "target map")
     require_same_shape(s, cur, "source and target maps")
-    if cur.shape != (dst_desc.orig_height, dst_desc.orig_width):
+    if cur.shape != dst_desc.shape:
         raise InvalidParameterError(
-            f"map shape {cur.shape} does not match description "
-            f"({dst_desc.orig_height}, {dst_desc.orig_width})"
+            f"map shape {cur.shape} does not match description {dst_desc.shape}"
         )
     require_rectified(src_cam, dst_cam)
     if stripes is None:

@@ -108,22 +108,20 @@ def _plane_hits(
 ) -> np.ndarray:
     # Ray through pixel: x(d) = u*d - tx, y(d) = v*d. Intersection with the
     # base plane is closed-form; the ripple term is folded in by fixed-point
-    # iteration, which contracts for the gentle slopes used here.
-    denom = 1.0 - prim.a * u - prim.b * v
-    base = prim.c - prim.a * tx
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # iteration, which contracts for the gentle slopes used here. An extreme
+    # value overflows to inf or nan, which _render_view then rejects.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = 1.0 - prim.a * u - prim.b * v
+        base = prim.c - prim.a * tx
         d = np.where(denom > 1e-9, base / denom, np.inf)
-    if ripple is not None and prim.ripple and ripple.amp != 0.0:
-        for _ in range(_PLANE_SOLVE_ITERS):
-            with np.errstate(invalid="ignore"):
+        if ripple is not None and prim.ripple and ripple.amp != 0.0:
+            for _ in range(_PLANE_SOLVE_ITERS):
                 x = u * d - tx
                 y = v * d
                 d = np.where(
-                    np.isfinite(d) & (denom > 1e-9),
-                    (base + ripple(x, y)) / denom,
-                    np.inf,
+                    np.isfinite(d) & (denom > 1e-9), (base + ripple(x, y)) / denom, np.inf
                 )
-    return np.where(d > 0, d, np.inf)
+        return np.where(d > 0, d, np.inf)
 
 
 def _box_hits(prim: Box, u: np.ndarray, v: np.ndarray, tx: float) -> np.ndarray:
@@ -200,6 +198,8 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         raise InvalidSceneError("scene dimensions must be positive")
     if spec.seed < 0:
         raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
+    if not np.isfinite(spec.noise_amp):
+        raise InvalidSceneError(f"noise_amp must be finite, got {spec.noise_amp}")
     # First, so that a camera that is not finite fails before rendering.
     cameras = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
     cams = (cameras.left, cameras.right)

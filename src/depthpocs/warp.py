@@ -82,9 +82,8 @@ def forward_warp(
         np.multiply(dst_cols, 256.0, out=dst_cols)
         np.round(dst_cols, out=dst_cols)
         np.divide(dst_cols, 256.0, out=dst_cols)
-    valid = np.greater(m, 0.0)
+    valid = np.isfinite(scale)  # a non-positive depth has a NaN scale
     test = np.empty((h, w), bool)
-    valid &= np.isfinite(scale, out=test)
     valid &= np.greater(scale, 0.0, out=test)
     valid &= np.greater_equal(dst_cols, -1.0, out=test)
     valid &= np.less_equal(dst_cols, float(w), out=test)

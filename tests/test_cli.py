@@ -120,6 +120,13 @@ class TestLoadConfig:
         assert np.all(cfg.table == 24.0)
         assert cfg.options.max_iters == 3
 
+    @pytest.mark.parametrize("raw, value", [("9007199254740993", 9007199254740993), ("3.0", 3)])
+    def test_integer_key_keeps_every_digit(self, tmp_path, raw, value):
+        # 2**53 + 1 read through a float would lose its last digit.
+        p = tmp_path / "c.ini"
+        p.write_text(SMALL_SCENE.replace("seed = 5", f"seed = {raw}"))
+        assert load_config(p).scene.seed == value
+
     def test_primitive_type_ignores_case(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text(SMALL_SCENE.replace("type = plane", "type = Plane").replace("= box", "= BOX"))

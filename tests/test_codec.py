@@ -206,6 +206,39 @@ class TestClipToBins:
             assert da <= np.linalg.norm(a - b) + 1e-12
 
 
+@st.composite
+def _stripes(draw):
+    """A coded off-grid view, a stripe of it that starts on a block row, and
+    a band of new values for the stripe's rows."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    tables = [codec.flat_table(24.0), codec.jpeg_table(50), codec.jpeg_table(5)]
+    table = draw(st.sampled_from(tables))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    view = rng.uniform(0.0, 255.0, (h, w))
+    blocks = -(-h // 8)
+    first = draw(st.integers(0, blocks - 1))
+    end = min(h, 8 * draw(st.integers(first + 1, blocks)))
+    band = view[8 * first : end] + rng.normal(0.0, 20.0, (end - 8 * first, w))
+    return codec.encode_map(view, table), band, 8 * first
+
+
+class TestProjectToBins:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stripes())
+    def test_clips_against_its_rows_slice_of_the_views_bounds(self, case):
+        desc, band, row = case
+        got, n_out = codec.project_to_bins(band, desc, row)
+        padded = codec.pad_to_blocks(band)
+        coeffs = codec.dct_blocks(codec.split_blocks(padded))
+        bounds = codec.bin_bounds(desc.indices, desc.table)
+        first = row // 8 * (desc.width // 8)
+        mine = slice(first, first + len(coeffs))
+        clipped = codec.clip_to_bins(coeffs, codec.BinConstraints(bounds.lo[mine], bounds.hi[mine]))
+        want = codec.merge_blocks(codec.idct_blocks(clipped), *padded.shape)
+        assert got.tobytes() == want[: band.shape[0], : band.shape[1]].tobytes()
+        assert n_out == np.count_nonzero(clipped != coeffs)
+
+
 class TestTables:
     def test_flat_table(self):
         t = codec.flat_table(24.0)
@@ -350,6 +383,23 @@ class TestQdmContainer:
         raw = self._desc().to_bytes()
         with pytest.raises(CorruptDescriptionError):
             codec.QuantizedDescription.from_bytes(raw + b"xx")
+
+    @staticmethod
+    def _stored(width, height, orig_width, orig_height):
+        """A QDM1 file of the given header sizes, with the index payload they ask for."""
+        head = codec.QDM_MAGIC + struct.pack("<4I", width, height, orig_width, orig_height)
+        table = codec.jpeg_table(40).astype("<f8").tobytes()
+        return head + table + bytes(4 * 64 * (width // 8) * (height // 8))
+
+    def test_padded_size_not_the_maps_next_block_multiple_rejected(self):
+        with pytest.raises(CorruptDescriptionError, match="padded size 24x16"):
+            codec.QuantizedDescription.from_bytes(self._stored(24, 16, 13, 9))
+
+    def test_padded_size_of_the_map_accepted(self):
+        raw = self._stored(16, 16, 16, 9)
+        desc = codec.QuantizedDescription.from_bytes(raw)
+        assert (desc.width, desc.height, desc.shape, desc.n_blocks) == (16, 16, (9, 16), 4)
+        assert desc.to_bytes() == raw
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpocs.errors import PgmFormatError
-from depthpocs.pgm import read_pgm, write_pgm
+from depthpocs.pgm import _read_tokens, read_pgm, write_pgm
 
 
 class TestEightBit:
@@ -74,6 +74,17 @@ class TestParsing:
         with pytest.raises(PgmFormatError):
             read_pgm(p)
 
+    @pytest.mark.parametrize(
+        "header, payload",
+        [(b"P5\n2 1\n100\n", bytes([7, 200])), (b"P5\n1 1\n1000\n", (1001).to_bytes(2, "big"))],
+        ids=["8-bit", "16-bit"],
+    )
+    def test_sample_above_maxval(self, tmp_path, header, payload):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(header + payload)
+        with pytest.raises(PgmFormatError, match="above maxval"):
+            read_pgm(p)
+
     def test_non_numeric_header(self, tmp_path):
         p = tmp_path / "n.pgm"
         p.write_bytes(b"P5\ntwo 2\n255\n" + bytes(4))
@@ -99,3 +110,5 @@ class TestArbitraryBytes:
         except PgmFormatError:
             return
         assert m.dtype == np.float64 and m.ndim == 2
+        maxval = int(_read_tokens(data, 4)[0][3])
+        assert m.max() <= (maxval / 256.0 if maxval > 255 else maxval)

@@ -3,6 +3,7 @@ consistency of the rendered pair, disocclusion structure, errors, and the
 forked render of the right view against one view at a time."""
 
 import functools
+import math
 import os
 import signal
 import warnings
@@ -295,6 +296,30 @@ class TestForkedRender:
             generate_scene(spec)
         assert len(forks) == per_call
         assert str(got.value) == str(serial.value)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("a", 1e308, None),
+            ("baseline", 1e308, None),
+            ("noise_amp", 1e308, None),
+            ("noise_amp", math.nan, "noise_amp must be finite"),
+            ("noise_amp", math.inf, "noise_amp must be finite"),
+        ],
+    )
+    def test_extreme_value_raises_without_numpy_warnings(
+        self, render_mode, no_fd_leaked, key, value, message
+    ):
+        # The bundled scene's size: at 64x64 the huge ripple overflows nowhere.
+        spec = demo_scene()
+        if key == "a":
+            spec.primitives[0].a = value
+        else:
+            setattr(spec, key, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidSceneError, match=message):
+                generate_scene(spec)
 
     def test_child_dying_without_reply_raises(self, monkeypatch, no_fd_leaked):
         fault_in_render(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
