@@ -285,7 +285,7 @@ def _sanity_bound(maps, limit_lo: float, limit_hi: float, where: str) -> None:
     for m in maps:
         lo = float(np.min(m))
         hi = float(np.max(m))
-        if lo < limit_lo or hi > limit_hi:
+        if not (limit_lo <= lo and hi <= limit_hi):  # a NaN fails both tests
             raise NumericalError(
                 f"{where}: map range [{lo:.3f}, {hi:.3f}] escaped "
                 f"[{limit_lo:.1f}, {limit_hi:.1f}]"

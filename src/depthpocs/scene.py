@@ -174,7 +174,10 @@ def _visibility_mask(
     # that leaves the image still does, and the cast stays inside int64.
     h, w = depth.shape
     cols = np.arange(w, dtype=np.float64)[np.newaxis, :]
-    other_col = cols + cam.k[0, 0] * (other.t[0] - cam.t[0]) / depth
+    # An extreme baseline overflows to +-inf or NaN, which the clip below
+    # and the caller's empty-mask check handle.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        other_col = cols + cam.k[0, 0] * (other.t[0] - cam.t[0]) / depth
     base = np.floor(np.clip(other_col, -2, w, out=other_col)).astype(np.int64)
     mask = np.ones(depth.shape, dtype=bool)
     for off in (-1, 0, 1, 2):

@@ -8,8 +8,10 @@ the target grid from two neighbors per pixel, one picked from each side,
 and bilateral_filter cleans up the result.
 
 bilateral_filter runs each window offset on contiguous slices of a flat
-copy of the rows it reads, each padded with radius zero columns on either
-side. A pair with a pad pixel weighs exactly +0, which changes no bit.
+float32 copy of the rows it reads, each padded with radius zero columns on
+either side. A pair with a pad pixel weighs exactly +0, which changes no
+bit. Its terms and sums are float32; the warp, the interpolation and the
+final sum with the map are float64.
 
 For a rectified pair the composition of back-projection and re-projection
 collapses to a pure column shift of fx * baseline / s per pixel, where s
@@ -35,8 +37,10 @@ from .errors import InvalidParameterError
 from .geometry import CameraParams, projective_scale_grid, require_rectified
 
 # Padded pixels the bilateral filter finishes at a time (see
-# bilateral_filter), in whole rows: the terms a band stores for the mirror
-# offsets then stay near the size of a core's L2 cache.
+# bilateral_filter), in whole rows. The float32 terms a band stores for the
+# mirror offsets take 8 bytes per padded pixel and offset, about 1.6 MiB at
+# radius 3: within a core's L2 cache. Twice as many pixels ran faster on a
+# 501-column map, but raised a run's peak memory by 3 MiB.
 _BAND_PIXELS = 8192
 
 
@@ -193,10 +197,21 @@ def bilateral_filter(
     """Edge-preserving smoothing with Gaussian spatial and range kernels.
 
     Windows are truncated at the borders and weights renormalized per
-    pixel, so every output sample is a convex combination of input samples
-    in its window. radius 0 is the documented off switch and returns a
-    copy of the input. rows=(a, b) returns output rows [a, b) only, each
-    exactly as the whole filtered map has it.
+    pixel, so every output sample is the pixel plus a convex combination of
+    its window's deviations from it. radius 0 is the documented off switch
+    and returns a copy of the input. rows=(a, b) returns output rows
+    [a, b) only, each exactly as the whole filtered map has it.
+
+    The deviations, weights and sums are float32; only the final pixel +
+    num / den is float64. So an output stays inside its window's range up
+    to the float32 spacing of the window's values. The map is copied into
+    the float32 buffer clipped to +-1e18, so every deviation and its square
+    are finite. An offset's spatial exponent is capped at 80 in magnitude,
+    and each range exponent -d^2 / (2 sigma_r^2) is floored at that cap
+    minus 80. So a pair inside the map weighs at least about exp(-80) =
+    1.8e-35, and no weight is a subnormal float32, whose arithmetic runs many
+    times slower. 1 / (2 sigma_r^2) is capped at 1e30, so a deviation of 0
+    still weighs exp(0) = 1.
 
     Offsets o and -o give a pixel pair the same weight, and weighted
     deviations that are exact negatives of each other. The output is made
@@ -204,7 +219,8 @@ def bilateral_filter(
     weighted deviations are computed once over the band plus |dy| rows
     below it, and the mirror offset reuses them at the shifted pixels.
     Every pixel still sums its terms in window order, so the result is the
-    same, bit for bit, as evaluating each offset on its own.
+    same, bit for bit, as evaluating each offset on its own in the same
+    float32 arithmetic.
 
     The rows read are copied into one flat buffer, each with radius zero
     columns on either side, so that every step works on contiguous slices:
@@ -212,7 +228,8 @@ def bilateral_filter(
     i + dy W + dx. A pair with a pad pixel gets weight +0 from a per-offset
     row of spatial weights, so it adds +0 and d * +0 = +-0 to the sums.
     They start at +0.0, so none becomes -0.0, and x + +-0 is x for every
-    other x: the pad changes no bit.
+    other x: the pad changes no bit. A deviation of 0 is 0 in float32 too,
+    so flat regions stay exactly flat.
     """
     m = as_map(map_)
     r = int(radius)
@@ -229,22 +246,30 @@ def bilateral_filter(
     # Offsets before the center in window order; (-dy, -dx) follow it in
     # reverse order.
     firsts = [(dy, dx) for dy in range(-r, 1) for dx in range(-r, r + 1) if dy < 0 or dx < 0]
+    # Per offset, its spatial exponent's magnitude, at most 80, and the
+    # floor of its range exponent: together never below -80.
+    spatial_exp = [min((dy * dy + dx * dx) * inv2ss, 80.0) for dy, dx in firsts]
+    floor = [np.float32(e - 80.0) for e in spatial_exp]
     # Per offset and padded column: the spatial weight where the pixel and
     # its neighbor are both inside the map, 0 where either is a pad.
     cols = np.arange(-r, w + r)
     spatial = np.array([
-        ((cols >= max(0, -dx)) & (cols < min(w, w - dx))) * math.exp(-(dy * dy + dx * dx) * inv2ss)
-        for dy, dx in firsts])
+        ((cols >= max(0, -dx)) & (cols < min(w, w - dx))) * math.exp(-e)
+        for (dy, dx), e in zip(firsts, spatial_exp)], np.float32)
+    # An inv2sr past float32's range would make a deviation of 0 weigh
+    # exp(-inf * 0) = NaN.
+    scale = np.float32(-min(inv2sr, 1e30))
     # Map rows [s0, s1), padded; pixel (y, x) is at flat[r + (y - s0) W + r + x].
+    # Clipped to +-1e18, every deviation and its square are finite in float32.
     s0, s1 = max(0, a - r), min(h, b + r)
     W = w + 2 * r
-    flat = np.zeros((s1 - s0) * W + 2 * r)
-    flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w] = m[s0:s1]
+    flat = np.zeros((s1 - s0) * W + 2 * r, np.float32)
+    np.clip(m[s0:s1], -1e18, 1e18, out=flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w])
     band = max(1, min(b - a, _BAND_PIXELS // W))
     # One buffer holds a band's stored terms, each as a contiguous array.
-    store = np.empty((len(firsts), 2, (band + r) * W))
+    store = np.empty((len(firsts), 2, (band + r) * W), np.float32)
     # A band's sums, laid out as flat, with r slack elements at either end.
-    num, den = sums = np.empty((2, band * W + 2 * r))
+    num, den = sums = np.empty((2, band * W + 2 * r), np.float32)
     out = np.empty((b - a, w))
     # Accumulating weighted deviations from the center (instead of
     # weighted values) keeps flat regions exactly unchanged in floating
@@ -254,7 +279,7 @@ def bilateral_filter(
         bn = (b1 - b0) * W
         sums.fill(0.0)
         shared = []
-        # d * d past the float range (a pad beside a sample beyond 1e154) weighs +0.
+        # d * d * inv2sr past the float32 range is -inf, which the floor lifts.
         with np.errstate(over="ignore"):
             for k, (dy, dx) in enumerate(firsts):
                 # Rows whose neighbor row y + dy was copied: the band's rows
@@ -267,7 +292,8 @@ def bilateral_filter(
                 wgt, term = store[k, 0, :n], store[k, 1, :n]
                 np.subtract(flat[j : j + n], flat[i : i + n], out=term)
                 np.multiply(term, term, out=wgt)
-                wgt *= -inv2sr
+                wgt *= scale
+                np.maximum(wgt, floor[k], out=wgt)
                 np.exp(wgt, out=wgt)
                 np.multiply(wgt.reshape(-1, W), spatial[k], out=wgt.reshape(-1, W))
                 term *= wgt

@@ -304,6 +304,13 @@ class TestRefine:
             _sanity_bound(maps, -96.0, 255.0 + 96.0, "test")
         _sanity_bound([np.full((4, 4), -50.0)], -96.0, 255.0 + 96.0, "test")
 
+    @pytest.mark.parametrize("nan_count", [1, 16])
+    def test_nan_map_detected(self, nan_count):
+        m = np.full((4, 4), 120.0)
+        m.ravel()[:nan_count] = np.nan
+        with pytest.raises(NumericalError, match="escaped"):
+            _sanity_bound([np.full((4, 4), 120.0), m], -96.0, 255.0 + 96.0, "test")
+
 
 
 def no_child_left() -> bool:

@@ -128,6 +128,14 @@ class TestRendering:
             with pytest.raises(InvalidSceneError, match="no pixel cleanly"):
                 generate_scene(spec)
 
+    def test_huge_baseline_rejected_without_numpy_warnings(self):
+        # focal * baseline / depth overflows to inf: no pixel lands in the other view.
+        spec = spec_with([Plane(0.0, 0.0, 100.0, ripple=False)], baseline=1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidSceneError, match="no pixel cleanly"):
+                generate_scene(spec)
+
 
 class TestConsistency:
     def test_warped_left_truth_matches_right_truth(self):

@@ -288,7 +288,8 @@ class TestBilateral:
                 w = ws * math.exp(-(diff**2) / (2 * sigma_r**2))
                 num += w * m[1 + dy, 1 + dx]
                 den += w
-        assert out[1, 1] == pytest.approx(num / den, abs=1e-12)
+        # The filter sums in float32: its relative error is a few float32 ulps.
+        assert out[1, 1] == pytest.approx(num / den, rel=1e-6)
 
     def test_convex_combination_of_window(self):
         rng = np.random.default_rng(74)
@@ -326,6 +327,50 @@ class TestBilateral:
         m = np.random.default_rng(97 + h + w).uniform(0.0, 255.0, (h, w))
         out = bilateral_filter(m, 2.0, 10.0, 3)
         assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, 3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sigma_s", [0.3, 2.0])
+    def test_floored_weights_match_reference(self, sigma_s, seed):
+        # At sigma_r 10 a deviation of 132-144 has a range exponent of about
+        # -87 to -104, whose exp is a subnormal float32 unless floored; at
+        # sigma_s 0.3 so are most spatial weights times exp(-80).
+        # A zero beside such values moves off zero by those weights alone, so
+        # the floor shows in its output bits. Values by the border pair with
+        # the pad too.
+        rng = np.random.default_rng(110 + seed)
+        m = np.where(rng.random((20, 23)) < 0.3, rng.uniform(132.0, 144.0, (20, 23)), 0.0)
+        out = bilateral_filter(m, sigma_s, 10.0, 3)
+        assert_same_bits(out, bilateral_reference(m, sigma_s, 10.0, 3))
+        assert out[m == 0.0].max() > 1e-34  # 140 exp(-80) is 2.5e-33
+
+    @pytest.mark.parametrize("sigma_r", [1e-20, 0.5, 10.0, 1e20, 1e150])
+    @pytest.mark.parametrize("sigma_s", [1e-20, 2.0, 1e150])
+    @pytest.mark.parametrize("kind", ["uniform", "huge", "mixed", "tiny"])
+    def test_extreme_maps_and_sigmas_stay_finite_in_window(self, kind, sigma_s, sigma_r):
+        # Maps beyond float32's range (clipped in the filter's buffer), huge
+        # beside small values, and deviations whose squares underflow in
+        # float32; sigmas whose 1 / (2 sigma^2) is beyond float32's range,
+        # subnormal or 0 in it.
+        rng = np.random.default_rng(120)
+        m = {
+            "uniform": rng.uniform(0.0, 255.0, (23, 19)),
+            "huge": rng.uniform(-1e300, 1e300, (23, 19)),
+            "mixed": rng.choice([1e200, 3.0], (23, 19)),
+            "tiny": rng.uniform(0.0, 1e-30, (23, 19)),
+        }[kind]
+        r = 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bilateral_filter(m, sigma_s, sigma_r, r)
+            rows = bilateral_filter(m, sigma_s, sigma_r, r, (5, 17))
+        assert np.all(np.isfinite(out))
+        win = np.lib.stride_tricks.sliding_window_view(np.pad(m, r, mode="edge"), (2 * r + 1,) * 2)
+        lo, hi = win.min(axis=(2, 3)), win.max(axis=(2, 3))
+        # The deviations are float32: an output may pass its window's range
+        # by up to the float32 spacing of the window's values, 2^-23 of them.
+        slack = np.maximum(np.abs(lo), np.abs(hi)) * 2.0**-23
+        assert np.all((lo - slack <= out) & (out <= hi + slack))
+        assert_same_bits(rows, out[5:17])
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -113,25 +113,33 @@ def interpolate_reference(samples, current: np.ndarray, tau: float) -> np.ndarra
 
 
 def bilateral_reference(m: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
-    """The bilateral filter one window offset at a time, in window order."""
+    """The bilateral filter one window offset at a time, in window order.
+
+    The terms and sums are float32, from the map clipped to +-1e18. The
+    spatial exponent's magnitude is capped at 80, and the range exponent is
+    floored at that cap minus 80. Only the final m + num / den is float64.
+    """
     h, w = m.shape
+    f = np.clip(m, -1e18, 1e18).astype(np.float32)
     # Accumulating weighted deviations from the center (instead of weighted
     # values) keeps flat regions exactly unchanged in floating point.
-    num = np.zeros_like(m)
-    den = np.zeros_like(m)
+    num = np.zeros_like(f)
+    den = np.zeros_like(f)
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
-    inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            ws = math.exp(-(dy * dy + dx * dx) * inv2ss)
-            y0, y1 = max(0, -dy), min(h, h - dy)
-            x0, x1 = max(0, -dx), min(w, w - dx)
-            if y0 >= y1 or x0 >= x1:
-                continue
-            center = m[y0:y1, x0:x1]
-            neigh = m[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-            diff = neigh - center
-            wgt = ws * np.exp(-(diff * diff) * inv2sr)
-            num[y0:y1, x0:x1] += wgt * diff
-            den[y0:y1, x0:x1] += wgt
+    scale = np.float32(-min(1.0 / (2.0 * sigma_r * sigma_r), 1e30))
+    with np.errstate(over="ignore"):
+        for dy in range(-radius, radius + 1):
+            for dx in range(-radius, radius + 1):
+                spatial_exp = min((dy * dy + dx * dx) * inv2ss, 80.0)
+                ws = np.float32(math.exp(-spatial_exp))
+                y0, y1 = max(0, -dy), min(h, h - dy)
+                x0, x1 = max(0, -dx), min(w, w - dx)
+                if y0 >= y1 or x0 >= x1:
+                    continue
+                center = f[y0:y1, x0:x1]
+                neigh = f[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+                diff = neigh - center
+                wgt = np.exp(np.maximum(diff * diff * scale, np.float32(spatial_exp - 80.0))) * ws
+                num[y0:y1, x0:x1] += wgt * diff
+                den[y0:y1, x0:x1] += wgt
     return m + num / den
