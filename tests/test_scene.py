@@ -1,6 +1,7 @@
 """Scene generator tests: closed-form surface oracles, cross-view
-consistency of the rendered pair, disocclusion structure, errors, and the
-forked render of the right view against one view at a time."""
+consistency of the rendered pair, disocclusion structure, errors, the
+culled render against the full-grid one, and the forked render of the
+right view against one view at a time."""
 
 import functools
 import math
@@ -10,12 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthpocs import scene
 from depthpocs.errors import DepthPocsError, InvalidSceneError
 from depthpocs.geometry import is_rectified, stereo_pair
 from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 from depthpocs.warp import project_view
+from scene_oracle import render_full_grid
 
 
 def spec_with(primitives, width=64, height=64, baseline=8.0, noise_amp=0.0, seed=0):
@@ -234,6 +238,169 @@ SCENES = {
 @functools.lru_cache(maxsize=None)
 def oracle_for(name: str) -> tuple[np.ndarray, ...]:
     return one_view_at_a_time(SCENES[name]())
+
+
+def render_outcome(render, spec, cam, ripple):
+    """The depth and primitive-id bytes a render returns, or the class and
+    message of what it raises, with RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            depth, prim_id = render(spec, cam, ripple)
+        except (DepthPocsError, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+    return depth.dtype, depth.tobytes(), prim_id.dtype, prim_id.tobytes()
+
+
+def assert_render_equals_full_grid(spec, ripple):
+    cams = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
+    for cam in (cams.left, cams.right):
+        got = render_outcome(scene._render_view, spec, cam, ripple)
+        assert got == render_outcome(render_full_grid, spec, cam, ripple)
+
+
+planes = st.builds(
+    Plane,
+    a=st.floats(-0.5, 0.5),
+    b=st.floats(-0.5, 0.5),
+    c=st.floats(20.0, 250.0),
+    ripple=st.booleans(),
+)
+boxes = st.builds(
+    lambda x0, y0, w, h, depth: Box(x0, x0 + w, y0, y0 + h, depth),
+    st.floats(-80.0, 40.0),
+    st.floats(-80.0, 40.0),
+    st.floats(1.0, 80.0),
+    st.floats(1.0, 80.0),
+    st.floats(10.0, 250.0),
+)
+
+
+@st.composite
+def fuzzed_scenes(draw):
+    """A scene of 1-3 planes, each rippled or flat, and 0-2 boxes, with its
+    ripple: sizes 8-120, principal points off centre, any of six noise
+    amplitudes, and now and then cx = 1e300 or a plane with a = 1e308."""
+    width, height = draw(st.integers(8, 120)), draw(st.integers(8, 120))
+    prims = draw(st.lists(planes, min_size=1, max_size=3))
+    prims += draw(st.lists(boxes, max_size=2))
+    spec = SceneSpec(
+        width=width,
+        height=height,
+        primitives=draw(st.permutations(prims)),
+        focal=draw(st.floats(40.0, 300.0)),
+        baseline=draw(st.floats(0.5, 20.0)),
+        cx=draw(st.none() | st.floats(-0.5 * width, 1.5 * width)),
+        cy=draw(st.none() | st.floats(-0.5 * height, 1.5 * height)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise_amp=draw(st.sampled_from([0.0, 1e-12, 1.5, -2.0, 8.0, 40.0])),
+    )
+    extreme = draw(st.sampled_from([None, None, None, None, "cx", "a"]))
+    if extreme == "cx":
+        spec.cx = 1e300
+    elif extreme == "a":
+        draw(st.sampled_from([p for p in spec.primitives if isinstance(p, Plane)])).a = 1e308
+    # generate_scene passes no ripple at noise_amp 0; a zero-amplitude one
+    # must render the same.
+    zero_ripple = draw(st.booleans())
+    ripple = scene._Ripple(spec.seed, spec.noise_amp) if spec.noise_amp or zero_ripple else None
+    return spec, ripple
+
+
+class TestCulledRender:
+    """_render_view solves a rippled plane only where its nearest possible
+    hit is not behind some surface's farthest one; it must equal the
+    full-grid render of tests/scene_oracle.py bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzed_scenes())
+    def test_equals_full_grid_render(self, drawn):
+        assert_render_equals_full_grid(*drawn)
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_bundled_scenes_equal_full_grid_render(self, name):
+        spec = SCENES[name]()
+        ripple = scene._Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None
+        assert_render_equals_full_grid(spec, ripple)
+
+    @pytest.mark.parametrize("amp", [1.5, -1.5])
+    def test_ripple_at_its_bound_equals_full_grid_render(self, monkeypatch, amp):
+        # A ripple of exactly +-amp puts the rippled wall (c = 103) at 101.5
+        # on some pixels, just in front of the flat wall at 101.5007. Any
+        # bound tighter than |ripple| <= |amp| would cull it there.
+        monkeypatch.setattr(
+            scene._Ripple, "__call__", lambda self, x, y: self.amp * np.sign(np.sin(x + 2 * y))
+        )
+        spec = spec_with(
+            [Plane(0.0, 0.0, 101.5007, ripple=False), Plane(0.0, 0.0, 103.0)], noise_amp=amp
+        )
+        ripple = scene._Ripple(spec.seed, spec.noise_amp)
+        cam = stereo_pair((64, 64), spec.focal, spec.baseline).left
+        assert (scene._render_view(spec, cam, ripple)[1] == 1).any()
+        assert_render_equals_full_grid(spec, ripple)
+
+    def test_demo_solves_rippled_planes_on_under_half_the_pixels(self, monkeypatch):
+        solved = []
+        plane_hits = scene._plane_hits
+
+        def counted(prim, u, v, tx, ripple):
+            solved.append(u.size)
+            return plane_hits(prim, u, v, tx, ripple)
+
+        monkeypatch.setattr(scene, "_plane_hits", counted)
+        spec = demo_scene()
+        cam = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline).left
+        scene._render_view(spec, cam, scene._Ripple(spec.seed, spec.noise_amp))
+        # Two rippled planes: under half of their 2 * 256 * 256 hits.
+        assert sum(solved) < spec.width * spec.height
+
+    def test_broken_bound_solves_every_rippled_plane_there(self, monkeypatch):
+        # The ripple is NaN where |x| < 10, and a NaN leaves a plane no hit.
+        # The near plane (c = 100) thus has none for |u| < 0.1, but its
+        # bound says it has one there that culls the far plane (c = 150).
+        # The far plane has a hit for |u| > 10 / 148.5, so between the two
+        # it, not the box behind, is the nearest surface.
+        ripple_at = scene._Ripple.__call__
+
+        def holed(self, x, y):
+            return np.where(np.abs(x) < 10.0, np.nan, ripple_at(self, x, y))
+
+        monkeypatch.setattr(scene._Ripple, "__call__", holed)
+        spec = spec_with(
+            [Plane(0.0, 0.0, 100.0), Plane(0.0, 0.0, 150.0), Box(-1e3, 1e3, -1e3, 1e3, 200.0)],
+            noise_amp=1.5,
+        )
+        ripple = scene._Ripple(spec.seed, spec.noise_amp)
+        cam = stereo_pair((64, 64), spec.focal, spec.baseline).left
+        prim_id = scene._render_view(spec, cam, ripple)[1]
+        u = np.abs(np.arange(64) - 31.5) / spec.focal
+        between = (u > 10 / 148.5) & (u < 0.1)
+        assert between.any() and (prim_id[:, between] == 1).all()
+        assert_render_equals_full_grid(spec, ripple)
+
+
+class TestRipple:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        amp=st.floats(allow_nan=False, allow_infinity=False),
+        xy=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @example(seed=7, amp=-2.0, xy=[(1e308, -1e308), (-1.7e308, 3.0), (0.0, 5e307)])
+    def test_bounded_by_amplitude(self, seed, amp, xy):
+        # The render's cull rests on this bound, for either sign of amp.
+        x, y = np.array(xy).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = scene._Ripple(seed, amp)(x, y)
+        assert (np.abs(values) <= abs(amp) * (1.0 + 1e-9)).all()
 
 
 @pytest.fixture(params=["fork", "no-fork", "one-cpu"])

@@ -302,6 +302,27 @@ class TestBilateral:
                 win = m[max(0, r - radius) : r + radius + 1, max(0, c - radius) : c + radius + 1]
                 assert win.min() - 1e-9 <= out[r, c] <= win.max() + 1e-9
 
+    def test_near_flat_window_within_one_float32_spacing(self):
+        # The filter's terms are float32, so where neighbours differ by less
+        # than a float32 spacing an output may leave its window's range by
+        # up to one spacing of the window's largest magnitude (the bound the
+        # docstring states). Most of these maps go past 1e-9.
+        rng = np.random.default_rng(76)
+        radius = 2
+        past_1e_9 = 0
+        for _ in range(50):
+            m = rng.uniform(200.0, 255.0) + rng.uniform(-1e-5, 1e-5, (16, 16))
+            out = bilateral_filter(m, 1.5, 20.0, radius)
+            beyond = 0.0
+            for r in range(16):
+                for c in range(16):
+                    win = m[max(0, r - radius) : r + radius + 1, max(0, c - radius) : c + radius + 1]
+                    spacing = float(np.spacing(np.float32(np.abs(win).max())))
+                    assert win.min() - spacing <= out[r, c] <= win.max() + spacing
+                    beyond = max(beyond, win.min() - out[r, c], out[r, c] - win.max())
+            past_1e_9 += beyond > 1e-9
+        assert past_1e_9 > 25
+
     def test_radius_zero_disables(self):
         rng = np.random.default_rng(75)
         m = rng.uniform(0, 255, (6, 6))
