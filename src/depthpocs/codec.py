@@ -314,9 +314,22 @@ def encode_map(map_, table) -> QuantizedDescription:
 
 
 def decode_map(desc: QuantizedDescription) -> np.ndarray:
-    """Centroid decode: dequantize, inverse transform, crop, clamp to [0, 255]."""
+    """Centroid decode: dequantize, inverse transform, crop, clamp to [0, 255].
+
+    Raises CorruptDescriptionError unless the padded, unclamped decode is
+    finite and in [-4 * delta_max, 256 + 4 * delta_max], delta_max the
+    largest step: the transform is orthonormal, so the decode of a map in the
+    reader's domain [0, 256] lies within ||step/2||_2 <= 4 * delta_max of it.
+    """
     desc.validate()
-    coeffs = dequantize(desc.indices, desc.table)
-    padded = merge_blocks(idct_blocks(coeffs), desc.height, desc.width)
-    out = padded[: desc.orig_height, : desc.orig_width]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = idct_blocks(dequantize(desc.indices, desc.table))
+        lo, hi = float(np.min(blocks)), float(np.max(blocks))
+    slack = 4.0 * float(np.max(desc.table))  # a Python float: inf, with no warning, on overflow
+    if not (-slack <= lo and hi <= 256.0 + slack):  # a NaN fails both tests
+        raise CorruptDescriptionError(
+            f"centroid decode range [{lo:.6g}, {hi:.6g}] is outside "
+            f"[{-slack:.6g}, {256.0 + slack:.6g}]: no map in [0, 256] is coded to it"
+        )
+    out = merge_blocks(blocks, desc.height, desc.width)[: desc.orig_height, : desc.orig_width]
     return np.clip(out, 0.0, 255.0)

@@ -4,7 +4,8 @@ Everything raised on purpose by this package derives from DepthPocsError,
 so callers can catch library failures in one clause. Each class carries
 the process exit code the CLI returns for it: 2 for an invalid
 configuration or argument (a step size, a quality, an option, maps of
-different sizes), 3 for an unreadable file, 4 for every other failure.
+different sizes), 3 for an unreadable file, 4 for every other failure,
+such as a description that no map in [0, 256] is coded to (see decode_map).
 """
 
 
@@ -38,10 +39,6 @@ class InvalidSceneError(DepthPocsError, ValueError):
     """A synthetic scene leaves pixels uncovered or is malformed."""
 
     exit_code = 2
-
-
-class NumericalError(DepthPocsError, ArithmeticError):
-    """Iteration produced values outside sane numeric bounds."""
 
 
 class ConfigError(DepthPocsError, ValueError):

@@ -732,6 +732,28 @@ class TestPieceWiseVerbs:
         run_csv = (run_out / "report.csv").read_text().splitlines()
         assert (ref_out / "report.csv").read_text().splitlines() == run_csv[:-1]
 
+    def test_refine_of_16bit_pair_at_the_finest_step(self, small_cfg, tmp_path, capsys):
+        # The 16-bit reader returns levels up to 65535/256; a pair that spans
+        # [0, 65535/256], coded at the least step, refines.
+        gdir = tmp_path / "gen"
+        assert main(["generate", str(small_cfg), "-o", str(gdir)]) == 0
+        truths = [read_pgm(gdir / f"truth_{view}.pgm") for view in ("left", "right")]
+        lo = min(t.min() for t in truths)
+        hi = max(t.max() for t in truths)
+        argv = ["refine", str(small_cfg), "-o", str(tmp_path / "ref")]
+        tops = []
+        for view, t in zip(("left", "right"), truths):
+            pgm, qdm = tmp_path / f"{view}.pgm", tmp_path / f"{view}.qdm"
+            write_pgm(pgm, (t - lo) * (65535 / 256 / (hi - lo)), deep=True)
+            tops.append(read_pgm(pgm).max())
+            step = "9.5367431640625e-07"  # 2**-20
+            assert main(["compress", str(pgm), "-o", str(qdm), "--delta", step]) == 0
+            argv += [f"--{view}-desc", str(qdm)]
+        assert max(tops) == 65535 / 256
+        capsys.readouterr()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "ref" / "our_right.pgm").is_file()
+
     def test_refine_import_mode_needs_no_input_maps(self, coded, tmp_path):
         # Only the camera sections are used; the [inputs] maps may be absent.
         cfg = tmp_path / "import.ini"
@@ -868,7 +890,7 @@ class TestParallelSweep:
 
         def fails(inputs, table, opts, outdir, **kwargs):
             if outdir.name == f"delta_{failing}":
-                raise errors.NumericalError("injected")
+                raise errors.InvalidInputError("injected")
             return run_protocol(inputs, table, opts, outdir, **kwargs)
 
         monkeypatch.setattr(cli, "run_protocol", fails)
@@ -934,7 +956,6 @@ README_EXIT_CODES = {
     "DepthPocsError": 4,
     "InvalidInputError": 4,
     "CorruptDescriptionError": 4,
-    "NumericalError": 4,
     "FloatingPointError": 4,
     "MemoryError": 4,
 }
@@ -1080,6 +1101,35 @@ class TestExitCodes:
         bad = tmp_path / "bad.qdm"
         bad.write_bytes(b"QDM1" + bytes(40))
         assert main(["decode", str(bad), "-o", str(tmp_path / "o.pgm")]) == 4
+
+    @pytest.mark.parametrize(
+        "step, index", [(24.0, 1000), (1e300, 2**31 - 1)], ids=["dc-1000", "int32-max-at-1e300"]
+    )
+    @pytest.mark.parametrize("verb", ["decode", "refine"])
+    def test_decode_out_of_range_is_4_and_writes_nothing(
+        self, small_cfg, tmp_path, capsys, verb, step, index
+    ):
+        # A 16x16 description whose first DC index no map in [0, 256] codes to,
+        # beside a valid one; decode_map rejects it before anything is written.
+        paths = {}
+        for name, dc in (("good", None), ("bad", index)):
+            desc = encode_map(np.full((16, 16), 90.0), flat_table(step))
+            if dc is not None:
+                desc.indices[0, 0, 0] = dc
+            paths[name] = tmp_path / f"{name}.qdm"
+            desc.save(paths[name])
+        out = tmp_path / "out"
+        if verb == "decode":
+            argv = ["decode", str(paths["bad"]), "-o", str(out)]
+        else:
+            argv = ["refine", str(small_cfg), "--left-desc", str(paths["good"]),
+                    "--right-desc", str(paths["bad"]), "-o", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: centroid decode range") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_bad_pgm_is_3(self, tmp_path):
         bad = tmp_path / "bad.pgm"

@@ -3,6 +3,7 @@ bin projection properties, whole-map coding and the QDM1 container."""
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,86 @@ class TestEncodeDecode:
         desc.indices = desc.indices[:3]
         with pytest.raises(CorruptDescriptionError):
             codec.decode_map(desc)
+
+
+def with_index(step, index):
+    """A 16x16 description at a flat step whose first DC index is `index`."""
+    desc = codec.encode_map(np.full((16, 16), 90.0), codec.flat_table(step))
+    desc.indices[0, 0, 0] = index
+    return desc
+
+
+def decode_warning_free(desc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return codec.decode_map(desc)
+
+
+@st.composite
+def _structured_descriptions(draw):
+    """A description of valid structure, coded from a map in [0, 65535/256]
+    with a flat, JPEG or arbitrary table of steps of at least 2**-20, and
+    whether up to three of its indices were then set to any int32 value."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    steps = st.floats(2.0**-20, 1e308)
+    kind = draw(st.sampled_from(["flat", "jpeg", "any"]))
+    if kind == "flat":
+        table = codec.flat_table(draw(steps))
+    elif kind == "jpeg":
+        table = codec.jpeg_table(draw(st.integers(1, 100)))
+    else:
+        table = np.array(draw(st.lists(steps, min_size=64, max_size=64))).reshape(8, 8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.0, 65535 / 256, (h, w))
+    m[rng.random((h, w)) < 0.3] = 65535 / 256
+    desc = codec.encode_map(m, table)
+    values = st.integers(-(2**31), 2**31 - 1) | st.integers(-300, 300)
+    edits = draw(st.lists(st.tuples(st.integers(0, desc.indices.size - 1), values), max_size=3))
+    for k, value in edits:
+        desc.indices.flat[k] = value
+    return desc, bool(edits)
+
+
+class TestDecodeRange:
+    """decode_map rejects a description whose padded centroid decode leaves
+    [-4 * delta_max, 256 + 4 * delta_max] or is not finite."""
+
+    @pytest.mark.parametrize(
+        "step, index", [(24.0, 1000), (1e300, 2**31 - 1)], ids=["dc-1000", "int32-max-at-1e300"]
+    )
+    def test_corrupt_rejected_without_warning(self, step, index):
+        with pytest.raises(CorruptDescriptionError, match="^centroid decode range"):
+            decode_warning_free(with_index(step, index))
+
+    @pytest.mark.parametrize(
+        "index, accepted", [(543, True), (545, False), (-31, True), (-33, False)]
+    )
+    def test_bound_is_4_delta_max_beyond_0_and_256(self, index, accepted):
+        # At step 4 a DC index k puts each sample of its block at k / 2;
+        # the bound is [-16, 272].
+        desc = with_index(4.0, index)
+        if accepted:
+            assert np.all(np.isin(codec.decode_map(desc)[:8, :8], (0.0, 255.0)))
+        else:
+            with pytest.raises(CorruptDescriptionError):
+                codec.decode_map(desc)
+
+    def test_largest_step_decodes_without_warning(self):
+        # 4 * 1e308 overflows to an infinite bound, which admits every finite decode.
+        decoded = decode_warning_free(with_index(1e308, 1))
+        assert np.array_equal(decoded[:8, :8], np.full((8, 8), 255.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_structured_descriptions())
+    def test_decodes_into_0_255_or_raises_corrupt_description(self, case):
+        desc, edited = case
+        try:
+            decoded = decode_warning_free(desc)
+        except CorruptDescriptionError:
+            assert edited, "a description coded from a map was rejected"
+            return
+        assert decoded.shape == desc.shape
+        assert np.all((decoded >= 0.0) & (decoded <= 255.0))
 
 
 class TestQdmContainer:
