@@ -11,6 +11,11 @@ which is the constraint-enforcement step of the refinement loop.
 Conventions: blocks are (8, 8) float64 arrays, row index = vertical
 frequency after the transform, so the row-major flattened position of
 coefficient (u, v) is k = 8*u + v. Step tables share the block shape.
+
+quantize, dequantize and bin_bounds take a checked table: an (8, 8) float64
+array of positive, finite steps. A table is checked where it enters, by
+encode_map and by QuantizedDescription.validate, which from_bytes,
+decode_map and pocs.half_iteration call.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import numpy as np
 
 from ._common import as_map
 from .errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
+from .pgm import MAX_LEVEL
 
 BLOCK = 8
 QDM_MAGIC = b"QDM1"
@@ -124,8 +130,7 @@ def quantize(coeffs, table) -> np.ndarray:
     c = np.asarray(coeffs, dtype=np.float64)
     if not np.all(np.isfinite(c)):
         raise InvalidInputError("coefficients contain non-finite values")
-    t = _check_table(table)
-    mag = np.floor(np.abs(c) / t + 0.5)
+    mag = np.floor(np.abs(c) / table + 0.5)
     if mag.size and mag.max() > np.iinfo(np.int32).max:
         raise InvalidInputError(f"a bin index of {mag.max():.0f} does not fit int32")
     return np.where(c < 0, -mag, mag).astype(np.int32)
@@ -133,17 +138,13 @@ def quantize(coeffs, table) -> np.ndarray:
 
 def dequantize(indices, table) -> np.ndarray:
     """Centroid decode: coefficient = index * step."""
-    idx = np.asarray(indices)
-    t = _check_table(table)
-    return idx.astype(np.float64) * t
+    return np.asarray(indices).astype(np.float64) * table
 
 
 def bin_bounds(indices, table) -> BinConstraints:
     """Closed interval [centroid - step/2, centroid + step/2] per coefficient."""
-    idx = np.asarray(indices)
-    t = _check_table(table)
-    centers = idx.astype(np.float64) * t
-    half = t / 2.0
+    centers = np.asarray(indices).astype(np.float64) * table
+    half = table / 2.0
     return BinConstraints(centers - half, centers + half)
 
 
@@ -314,7 +315,7 @@ def encode_map(map_, table) -> QuantizedDescription:
 
 
 def decode_map(desc: QuantizedDescription) -> np.ndarray:
-    """Centroid decode: dequantize, inverse transform, crop, clamp to [0, 255].
+    """Centroid decode: dequantize, inverse transform, crop, clamp to [0, MAX_LEVEL].
 
     Raises CorruptDescriptionError unless the padded, unclamped decode is
     finite and in [-4 * delta_max, 256 + 4 * delta_max], delta_max the
@@ -332,4 +333,4 @@ def decode_map(desc: QuantizedDescription) -> np.ndarray:
             f"[{-slack:.6g}, {256.0 + slack:.6g}]: no map in [0, 256] is coded to it"
         )
     out = merge_blocks(blocks, desc.height, desc.width)[: desc.orig_height, : desc.orig_width]
-    return np.clip(out, 0.0, 255.0)
+    return np.clip(out, 0.0, MAX_LEVEL)

@@ -68,18 +68,10 @@ def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> Camera
     return CameraParams(k, e)
 
 
-def is_rectified(a: CameraParams, b: CameraParams) -> bool:
-    """True when the two views share K and R and differ only in x-translation."""
-    if np.max(np.abs(a.k - b.k)) > _RECTIFIED_TOL:
-        return False
-    if np.max(np.abs(a.r - b.r)) > _RECTIFIED_TOL:
-        return False
-    dt = a.t - b.t
-    return abs(dt[1]) <= _RECTIFIED_TOL and abs(dt[2]) <= _RECTIFIED_TOL
-
-
 def require_rectified(a: CameraParams, b: CameraParams) -> None:
-    if not is_rectified(a, b):
+    """Raise unless the two views share K and R and differ only in x-translation."""
+    dt = np.abs(a.t - b.t)
+    if max(np.max(np.abs(a.k - b.k)), np.max(np.abs(a.r - b.r)), dt[1], dt[2]) > _RECTIFIED_TOL:
         raise InvalidConfigurationError(
             "cameras are not a rectified pair (need shared K and R, baseline along x)"
         )

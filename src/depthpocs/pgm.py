@@ -13,6 +13,8 @@ import numpy as np
 from ._common import as_map
 from .errors import PgmFormatError
 
+MAX_LEVEL = 65535 / 256  # the largest level read_pgm returns, from a 16-bit sample of 65535
+
 
 def round8(m: np.ndarray) -> np.ndarray:
     """The levels an 8-bit file stores: floor(m + 0.5) clamped to [0, 255], as float64."""

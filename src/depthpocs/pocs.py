@@ -44,14 +44,16 @@ from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
 from .errors import DepthPocsError, InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, require_rectified
 from .metrics import psnr
-from .warp import check_sigma, project_view
+from .pgm import MAX_LEVEL
+from .warp import project_view
 
 VIEWS = ("left", "right")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RefineOptions:
-    """Stopping rule plus warp and filter parameters for refine()."""
+    """Stopping rule plus warp and filter parameters for refine(). Frozen, so
+    the stages receive the values checked here; dataclasses.replace checks again."""
 
     max_iters: int = 10
     eps: float = 0.01
@@ -74,8 +76,16 @@ class RefineOptions:
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
         if self.radius < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
-        check_sigma("sigma_s", self.sigma_s)
-        check_sigma("sigma_r", self.sigma_r)
+        for name in ("sigma_s", "sigma_r"):
+            value = getattr(self, name)
+            try:
+                usable = value > 0 and math.isfinite(1.0 / (2.0 * float(value) * float(value)))
+            except ZeroDivisionError:  # 2 value^2 underflows to zero
+                usable = False
+            if not usable:
+                raise InvalidParameterError(
+                    f"{name} must be positive with a finite 1/(2 {name}^2), got {value}"
+                )
         if not (0 <= self.tau < math.inf):
             raise InvalidParameterError(f"tau must be finite and >= 0, got {self.tau}")
 
@@ -259,8 +269,10 @@ def half_iteration(
     Returns the updated destination map (cropped to original dimensions)
     and the mean absolute change against dst_current together with the
     fraction of coefficients that had to be clipped. stripes is refine's
-    striping context; without one the whole map is a single stripe.
+    striping context; without one the whole map is a single stripe. The
+    stages below check nothing; this checks the description, maps and cameras.
     """
+    dst_desc.validate()
     s = as_map(src, "source map")
     cur = as_map(dst_current, "target map")
     require_same_shape(s, cur, "source and target maps")
@@ -295,7 +307,7 @@ def refine(
     view other than options.start from options.start, then options.start
     from the other; it stops once both half-iteration changes are
     <= options.eps or after options.max_iters iterations. Returned maps
-    are clamped to [0, 255].
+    are clamped to the PGM reader's domain [0, MAX_LEVEL] = [0, 65535 / 256].
 
     decode_map admits a description only if its padded centroid decode lies
     in [-4 * delta_max, 256 + 4 * delta_max]. Each half-iteration ends in the
@@ -347,5 +359,5 @@ def refine(
                 report.converged = True
                 break
 
-    left, right = (np.clip(m, 0.0, 255.0) for m in maps)
+    left, right = (np.clip(m, 0.0, MAX_LEVEL) for m in maps)
     return left, right, report

@@ -24,6 +24,11 @@ project_view(rows=(a, b)) computes output rows [a, b) of a stripe of the
 map from source and target rows [a - radius, b + radius) alone, clipped
 to the map; windows are still truncated at the map's borders only. The
 rows come out bit for bit as in the whole projection.
+
+The stages check nothing. Their maps are finite 2D float64 arrays, source
+and target of one shape, the cameras a rectified pair, and tau, the sigmas
+and the radius values that RefineOptions accepts: pocs.half_iteration and
+pocs.refine check the maps and cameras, RefineOptions the parameters.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ import math
 
 import numpy as np
 
-from ._common import as_map, require_same_shape
-from .errors import InvalidParameterError
-from .geometry import CameraParams, projective_scale_grid, require_rectified
+from .geometry import CameraParams, projective_scale_grid
 
 # Padded pixels the bilateral filter finishes at a time (see
 # bilateral_filter), in whole rows. The float32 terms a band stores for the
@@ -42,18 +45,6 @@ from .geometry import CameraParams, projective_scale_grid, require_rectified
 # radius 3: within a core's L2 cache. Twice as many pixels ran faster on a
 # 501-column map, but raised a run's peak memory by 3 MiB.
 _BAND_PIXELS = 8192
-
-
-def check_sigma(name: str, value: float) -> None:
-    """Raise unless value is a usable kernel sigma: positive, with a finite 1/(2 value^2)."""
-    try:
-        usable = value > 0 and math.isfinite(1.0 / (2.0 * float(value) * float(value)))
-    except ZeroDivisionError:  # 2 value^2 underflows to zero
-        usable = False
-    if not usable:
-        raise InvalidParameterError(
-            f"{name} must be positive with a finite 1/(2 {name}^2), got {value}"
-        )
 
 
 def forward_warp(
@@ -69,11 +60,9 @@ def forward_warp(
     src may be the rows row0, row0 + 1, ... of a larger map; the returned
     rows then count from row0.
     """
-    require_rectified(src_cam, dst_cam)
-    m = as_map(src, "source map")
-    h, w = m.shape
+    h, w = src.shape
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
-    scale = projective_scale_grid(src_cam, m, row0)
+    scale = projective_scale_grid(src_cam, src, row0)
     dst_cols = np.empty((h, w))
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(shift, scale, out=dst_cols)
@@ -99,7 +88,7 @@ def forward_warp(
     # Every index is in range, so mode="clip" only skips the check.
     np.divmod(index, w, out=(rows, src_cols))
     np.take(dst_cols.ravel(), index, out=cols, mode="clip")
-    np.take(m.ravel(), index, out=depths, mode="clip")
+    np.take(src.ravel(), index, out=depths, mode="clip")
     return rows, cols, depths, src_cols
 
 
@@ -231,16 +220,11 @@ def bilateral_filter(
     other x: the pad changes no bit. A deviation of 0 is 0 in float32 too,
     so flat regions stay exactly flat.
     """
-    m = as_map(map_)
     r = int(radius)
-    if r < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {r}")
-    h, w = m.shape
+    h, w = map_.shape
     a, b = (0, h) if rows is None else rows
     if r == 0:
-        return m[a:b].copy()
-    check_sigma("sigma_s", sigma_s)
-    check_sigma("sigma_r", sigma_r)
+        return map_[a:b].copy()
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
     # Offsets before the center in window order; (-dy, -dx) follow it in
@@ -264,7 +248,8 @@ def bilateral_filter(
     s0, s1 = max(0, a - r), min(h, b + r)
     W = w + 2 * r
     flat = np.zeros((s1 - s0) * W + 2 * r, np.float32)
-    np.clip(m[s0:s1], -1e18, 1e18, out=flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w])
+    inside = flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w]
+    np.clip(map_[s0:s1], -1e18, 1e18, out=inside)
     band = max(1, min(b - a, _BAND_PIXELS // W))
     # One buffer holds a band's stored terms, each as a contiguous array.
     store = np.empty((len(firsts), 2, (band + r) * W), np.float32)
@@ -315,7 +300,7 @@ def bilateral_filter(
             den[q : q + n] += wgt[i : i + n]
         ratio = num[r : r + bn]
         np.divide(ratio, den[r : r + bn], out=ratio)
-        np.add(m[b0:b1], ratio.reshape(b1 - b0, W)[:, r : r + w], out=out[b0 - a : b1 - a])
+        np.add(map_[b0:b1], ratio.reshape(b1 - b0, W)[:, r : r + w], out=out[b0 - a : b1 - a])
     return out
 
 
@@ -338,12 +323,11 @@ def project_view(
     returns output rows [a, b) only, computed from the source and target
     rows within radius of them.
     """
-    s = as_map(src, "source map")
-    cur = as_map(dst_current, "target map")
-    require_same_shape(s, cur, "project_view")
-    h = s.shape[0]
+    h = src.shape[0]
     a, b = (0, h) if rows is None else rows
-    halo = max(0, int(radius))
-    s0, s1 = max(0, a - halo), min(h, b + halo)
-    interp = _interpolate_grid(forward_warp(s[s0:s1], src_cam, dst_cam, s0), cur[s0:s1], tau)
+    s0, s1 = max(0, a - radius), min(h, b + radius)
+    # No name holds the warp's samples, so they are freed before the filter runs.
+    interp = _interpolate_grid(
+        forward_warp(src[s0:s1], src_cam, dst_cam, s0), dst_current[s0:s1], tau
+    )
     return bilateral_filter(interp, sigma_s, sigma_r, radius, (a - s0, b - s0))

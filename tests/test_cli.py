@@ -754,6 +754,16 @@ class TestPieceWiseVerbs:
         assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / "ref" / "our_right.pgm").is_file()
 
+    def test_16bit_top_sample_decodes_to_itself(self, tmp_path):
+        # decode clamps to the reader's domain: 65535 comes back, not 255 * 256.
+        pgm, qdm, out = tmp_path / "top.pgm", tmp_path / "top.qdm", tmp_path / "out.pgm"
+        pgm.write_bytes(b"P5\n16 16\n65535\n" + b"\xff\xff" * 256)
+        assert main(["compress", str(pgm), "-o", str(qdm), "--delta", "9.5367431640625e-07"]) == 0
+        assert main(["decode", str(qdm), "-o", str(out), "--pgm16"]) == 0
+        raw = out.read_bytes()
+        assert raw.startswith(b"P5\n16 16\n65535\n")
+        assert np.all(np.frombuffer(raw[-512:], ">u2") == 65535)
+
     def test_refine_import_mode_needs_no_input_maps(self, coded, tmp_path):
         # Only the camera sections are used; the [inputs] maps may be absent.
         cfg = tmp_path / "import.ini"

@@ -397,7 +397,7 @@ class TestDecodeRange:
         # the bound is [-16, 272].
         desc = with_index(4.0, index)
         if accepted:
-            assert np.all(np.isin(codec.decode_map(desc)[:8, :8], (0.0, 255.0)))
+            assert np.all(np.isin(codec.decode_map(desc)[:8, :8], (0.0, 65535 / 256)))
         else:
             with pytest.raises(CorruptDescriptionError):
                 codec.decode_map(desc)
@@ -405,7 +405,7 @@ class TestDecodeRange:
     def test_largest_step_decodes_without_warning(self):
         # 4 * 1e308 overflows to an infinite bound, which admits every finite decode.
         decoded = decode_warning_free(with_index(1e308, 1))
-        assert np.array_equal(decoded[:8, :8], np.full((8, 8), 255.0))
+        assert np.array_equal(decoded[:8, :8], np.full((8, 8), 65535 / 256))
 
     @settings(max_examples=300, deadline=None)
     @given(case=_structured_descriptions())
@@ -417,7 +417,7 @@ class TestDecodeRange:
             assert edited, "a description coded from a map was rejected"
             return
         assert decoded.shape == desc.shape
-        assert np.all((decoded >= 0.0) & (decoded <= 255.0))
+        assert np.all((decoded >= 0.0) & (decoded <= 65535 / 256))
 
 
 class TestQdmContainer:

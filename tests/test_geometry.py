@@ -13,8 +13,8 @@ from depthpocs.errors import InvalidConfigurationError, InvalidInputError
 from depthpocs.geometry import (
     CameraParams,
     RectifiedPair,
-    is_rectified,
     projective_scale_grid,
+    require_rectified,
     simple_camera,
     stereo_pair,
 )
@@ -169,20 +169,22 @@ class TestRectifiedPair:
     def test_not_rectified_detected(self):
         a = simple_camera(100.0, 5.0, 5.0, 0.0)
         b_other_k = simple_camera(120.0, 5.0, 5.0, 1.0)
-        assert not is_rectified(a, b_other_k)
+        with pytest.raises(InvalidConfigurationError):
+            require_rectified(a, b_other_k)
         with pytest.raises(InvalidConfigurationError):
             RectifiedPair(a, b_other_k)
-        e = np.hstack([np.eye(3), np.array([[0.0], [2.0], [0.0]])])
-        b_ty = CameraParams(a.k.copy(), e)
-        with pytest.raises(InvalidConfigurationError):
-            RectifiedPair(a, b_ty)
+        for t in ([0.0], [2.0], [0.0]), ([1.0], [0.0], [2.0]):  # a y or a z offset
+            b_off_axis = CameraParams(a.k.copy(), np.hstack([np.eye(3), np.array(t)]))
+            with pytest.raises(InvalidConfigurationError):
+                RectifiedPair(a, b_off_axis)
         b_turned = CameraParams(a.k.copy(), np.hstack([rot_z(0.1), np.zeros((3, 1))]))
-        assert not is_rectified(a, b_turned)
+        with pytest.raises(InvalidConfigurationError):
+            require_rectified(a, b_turned)
 
     def test_rectified_accepts_pure_baseline(self):
         a = simple_camera(100.0, 5.0, 5.0, 0.0)
         b = simple_camera(100.0, 5.0, 5.0, -7.5)
-        assert is_rectified(a, b)
+        require_rectified(a, b)
         pair = RectifiedPair(a, b)
         assert pair.right.t[0] - pair.left.t[0] == -7.5
 

@@ -4,6 +4,7 @@ block-row stripes with their worker processes, and in_processes, which
 maps one-shot work over forked processes."""
 
 import contextlib
+import dataclasses
 import errno
 import math
 import os
@@ -33,6 +34,7 @@ from depthpocs.codec import (
 from depthpocs import pocs, warp
 from depthpocs._common import Forked, fork_cpus, in_processes
 from depthpocs.errors import (
+    CorruptDescriptionError,
     DepthPocsError,
     InvalidConfigurationError,
     InvalidInputError,
@@ -136,12 +138,37 @@ class TestHalfIteration:
         assert stats.mean_change == float(np.mean(np.abs(want - right0)))
         assert stats.clip_fraction == n_out / coeffs.size
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "target-vs-description",
+            "source-vs-target",
+            "not-rectified",
+            "description-one-block-short",
+        ],
+    )
+    def test_shape_mismatch_rejected(self, case):
+        # half_iteration is where its inputs are checked; the warp and clip
+        # stages below it check nothing.
         gen = generate_scene(small_scene())
         desc = encode_map(gen.right, flat_table(16.0))
+        src, cur = gen.left, gen.right
         cam_l, cam_r = gen.cameras.left, gen.cameras.right
-        with pytest.raises(InvalidInputError):
-            half_iteration(gen.left[:-8], cam_l, cam_r, desc, gen.right[:-8], RefineOptions())
+        error, code = InvalidParameterError, 2
+        if case == "target-vs-description":
+            src, cur = src[:-8], cur[:-8]
+        elif case == "source-vs-target":
+            src = src[:, :-1]
+        elif case == "not-rectified":
+            cam_r = simple_camera(130.0, 23.5, 23.5, 5.0)
+            error = InvalidConfigurationError
+        else:
+            indices = desc.indices[:-1]
+            desc = QuantizedDescription(desc.orig_width, desc.orig_height, desc.table, indices)
+            error, code = CorruptDescriptionError, 4
+        with pytest.raises(error) as info:
+            half_iteration(src, cam_l, cam_r, desc, cur, RefineOptions())
+        assert info.value.exit_code == code
 
 
 class TestRefine:
@@ -281,6 +308,8 @@ class TestRefine:
             # 1 / (2 sigma^2) must be finite: 2 sigma^2 underflows to zero,
             # or its inverse overflows.
             {"sigma_s": 1e-200},
+            {"sigma_s": 1e-160},
+            {"sigma_r": 1e-200},
             {"sigma_r": 1e-170},
             {"sigma_r": 1e-160},
             {"tau": -0.5},
@@ -295,6 +324,14 @@ class TestRefine:
     def test_filter_options_accepted(self):
         opts = RefineOptions(radius=np.int64(2), tau=0.0, sigma_s=0.5, sigma_r=1e-9)
         assert opts.radius == 2
+
+    def test_options_are_frozen(self):
+        # The values __post_init__ checked are the values the stages receive.
+        opts = RefineOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.sigma_r = 0.0
+        with pytest.raises(InvalidParameterError):
+            dataclasses.replace(opts, sigma_r=0.0)
 
 
 def no_child_left() -> bool:
@@ -374,7 +411,10 @@ class TestRange:
         opts = RefineOptions(max_iters=2, eps=0.0)
         left, right, report = refine(*descs, gen.cameras.left, gen.cameras.right, opts)
         assert report.iterations == 2
-        assert max(left.max(), right.max()) == 255.0 and min(left.min(), right.min()) == 0.0
+        # Clamped to the reader's domain, not to [0, 255]: the top level comes back.
+        top = max(left.max(), right.max())
+        assert 255.0 < top and TOP_LEVEL - step <= top <= TOP_LEVEL
+        assert min(left.min(), right.min()) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from depthpocs import scene
 from depthpocs.errors import DepthPocsError, InvalidSceneError
-from depthpocs.geometry import is_rectified, stereo_pair
+from depthpocs.geometry import require_rectified, stereo_pair
 from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 from depthpocs.warp import project_view
 from scene_oracle import render_full_grid
@@ -166,7 +166,7 @@ class TestSclight:
         spec = demo_scene()
         gen = generate_scene(spec)
         pair = gen.cameras
-        assert is_rectified(pair.left, pair.right)
+        require_rectified(pair.left, pair.right)
         assert pair.right.t[0] - pair.left.t[0] == spec.baseline
         assert pair.left.k[0, 0] == spec.focal
         assert pair.left.t[0] == 0.0 and pair.right.t[0] == spec.baseline

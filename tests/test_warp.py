@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpocs import warp
-from depthpocs.errors import InvalidConfigurationError, InvalidInputError, InvalidParameterError
 from depthpocs.geometry import simple_camera
 from depthpocs.warp import _interpolate_grid, bilateral_filter, forward_warp, project_view
 from warp_oracle import (
@@ -60,12 +59,6 @@ class TestForwardWarp:
     def test_empty_map(self):
         left, right = cam_pair()
         assert all(len(a) == 0 for a in forward_warp(np.zeros((0, 0)), left, right))
-
-    def test_requires_rectified(self):
-        left = simple_camera(100.0, 32.0, 32.0, 0.0)
-        right = simple_camera(110.0, 32.0, 32.0, 10.0)
-        with pytest.raises(InvalidConfigurationError):
-            forward_warp(np.ones((8, 8)), left, right)
 
     def test_out_of_range_columns_discarded(self):
         left, right = cam_pair(focal=100.0, baseline=10.0)
@@ -426,20 +419,6 @@ class TestBilateral:
         c0, c1 = (0 if x0 == 0 else x0 + radius), (w if x1 == w else x1 - radius)
         assert np.all(out[r0 : max(r0, r1), c0 : max(c0, c1)] == 77.25)
 
-    def test_parameter_validation(self):
-        m = np.ones((4, 4))
-        with pytest.raises(InvalidParameterError):
-            bilateral_filter(m, 0.0, 10.0, 2)
-        with pytest.raises(InvalidParameterError):
-            bilateral_filter(m, 2.0, -1.0, 2)
-        for tiny in (1e-200, 1e-160):  # 1 / (2 sigma^2) is not finite
-            with pytest.raises(InvalidParameterError):
-                bilateral_filter(m, tiny, 10.0, 2)
-            with pytest.raises(InvalidParameterError):
-                bilateral_filter(m, 2.0, tiny, 2)
-        with pytest.raises(InvalidParameterError):
-            bilateral_filter(m, 2.0, 10.0, -1)
-
 
 class TestProjectView:
     def test_identity_bit_exact(self):
@@ -462,11 +441,6 @@ class TestProjectView:
         cur = np.random.default_rng(77).uniform(0, 255, (8, 32))
         out = _interpolate_grid(forward_warp(src, left, right), cur, 8.0)
         assert np.array_equal(out[:, :19], cur[:, :19])
-
-    def test_shape_mismatch(self):
-        left, right = cam_pair()
-        with pytest.raises(InvalidInputError):
-            project_view(np.ones((8, 8)), left, right, np.ones((8, 9)), **FILTER, radius=3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(78)
