@@ -17,11 +17,11 @@ the truth pair from resolve_inputs; the protocol from run_protocol and
 report.csv from write_report_csv. `sweep` renders the scene, or reads the
 [inputs] maps, once and runs the protocol on those arrays for every step,
 each step in a process of _common.in_processes (forked workers inherit the
-arrays). It prints each step's line in delta order as it arrives; the
-first failing step in delta order ends the command with its error, as in
-one process. `refine` needs only the two descriptions and the config's
-camera sections: it takes the map shape from the descriptions and neither
-renders [scene] nor reads the [inputs] maps.
+arrays and reply with the step's RunResult). It prints each step's line in
+delta order as it arrives; the first failing step in delta order ends the
+command with its error, as in one process. `refine` needs only the two
+descriptions and the config's camera sections: it takes the map shape from
+the descriptions and neither renders [scene] nor reads the [inputs] maps.
 
 run, sweep and refine report PSNRs on maps rounded to 8-bit levels, with
 or without --pgm16, so the numbers match what a user would measure on
@@ -438,14 +438,13 @@ def _cmd_sweep(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def step(i: int) -> tuple[list[str], str]:
-        result = run_protocol(inputs, tables[i], config.options, outdir / names[i], deep=args.pgm16)
-        return result.g_values(), result.scores()
+    def step(i: int) -> RunResult:
+        return run_protocol(inputs, tables[i], config.options, outdir / names[i], deep=args.pgm16)
 
     rows = ["delta,q_std,q_smo,q_our"]
-    for delta, (g_values, scores) in zip(deltas, in_processes(step, len(deltas), "sweep worker")):
-        rows.append(",".join([f"{delta:g}", *g_values]))
-        print(f"delta {delta:g}: {scores}")
+    for delta, result in zip(deltas, in_processes(step, len(deltas), "sweep worker")):
+        rows.append(",".join([f"{delta:g}", *result.g_values()]))
+        print(f"delta {delta:g}: {result.scores()}")
     with open(outdir / "aggregate.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(rows) + "\n")
     return 0
@@ -459,11 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments generate, refine, run and sweep share.
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("config")
+    base.add_argument("-o", "--outdir", required=True)
+    base.add_argument("--pgm16", action="store_true", help="write 16-bit deep PGMs")
 
-    p = sub.add_parser("generate", help="render a synthetic scene to PGM files")
-    p.add_argument("config")
-    p.add_argument("-o", "--outdir", required=True)
-    p.add_argument("--pgm16", action="store_true", help="write 16-bit deep PGMs")
+    p = sub.add_parser("generate", parents=[base], help="render a synthetic scene to PGM files")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("compress", help="encode a PGM map into a QDM1 container")
@@ -479,14 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pgm16", action="store_true")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("refine", help="refine two QDM1 descriptions jointly")
-    p.add_argument("config")
+    p = sub.add_parser("refine", parents=[base], help="refine two QDM1 descriptions jointly")
     p.add_argument("--left-desc", required=True)
     p.add_argument("--right-desc", required=True)
     p.add_argument("--truth-left")
     p.add_argument("--truth-right")
-    p.add_argument("-o", "--outdir", required=True)
-    p.add_argument("--pgm16", action="store_true")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("evaluate", help="PSNR of a map pair against references")
@@ -497,17 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--outdir", help="also write error maps here")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("run", help="full pipeline: generate, code, refine, report")
-    p.add_argument("config")
-    p.add_argument("-o", "--outdir", required=True)
-    p.add_argument("--pgm16", action="store_true")
+    p = sub.add_parser("run", parents=[base], help="full pipeline: generate, code, refine, report")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="repeat run over a list of step sizes")
-    p.add_argument("config")
-    p.add_argument("-o", "--outdir", required=True)
+    p = sub.add_parser("sweep", parents=[base], help="repeat run over a list of step sizes")
     p.add_argument("--deltas", required=True, help="comma separated step sizes")
-    p.add_argument("--pgm16", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

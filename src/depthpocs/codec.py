@@ -308,7 +308,9 @@ def encode_map(map_, table) -> QuantizedDescription:
     if m.size == 0:
         raise InvalidInputError("cannot encode an empty map")
     t = _check_table(table)
-    indices = quantize(dct_blocks(split_blocks(pad_to_blocks(m))), t)
+    # quantize reports a non-finite coefficient or a bin index past int32, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        indices = quantize(dct_blocks(split_blocks(pad_to_blocks(m))), t)
     return QuantizedDescription(
         orig_width=m.shape[1], orig_height=m.shape[0], table=t, indices=indices
     )

@@ -35,7 +35,6 @@ import math
 import mmap
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,10 +63,14 @@ class RefineOptions:
     start: str = "left"
 
     def __post_init__(self):
-        for name in ("max_iters", "radius"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        for names, kind, what in (
+            (("max_iters", "radius"), numbers.Integral, "an integer"),
+            (("eps", "tau", "sigma_s", "sigma_r"), numbers.Real, "a number"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
         if self.max_iters < 1:
             raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.eps >= 0:
@@ -90,19 +93,14 @@ class RefineOptions:
             raise InvalidParameterError(f"tau must be finite and >= 0, got {self.tau}")
 
 
-class HalfIterationStats(NamedTuple):
-    mean_change: float
-    clip_fraction: float
-
-
 @dataclass
 class ReportEntry:
-    """Record of one half-iteration; PSNRs are present when truth is known."""
+    """One half-iteration: half_iteration fills the first two fields, refine the rest."""
 
-    iteration: int
-    view: str
     mean_change: float
     clip_fraction: float
+    iteration: int | None = None
+    view: str | None = None
     psnr_left: float | None = None
     psnr_right: float | None = None
     g: float | None = None
@@ -263,14 +261,15 @@ def half_iteration(
     options: RefineOptions,
     *,
     stripes: _Stripes | None = None,
-) -> tuple[np.ndarray, HalfIterationStats]:
+) -> tuple[np.ndarray, ReportEntry]:
     """Warp src onto the destination view and clip it into dst's bins.
 
     Returns the updated destination map (cropped to original dimensions)
-    and the mean absolute change against dst_current together with the
-    fraction of coefficients that had to be clipped. stripes is refine's
-    striping context; without one the whole map is a single stripe. The
-    stages below check nothing; this checks the description, maps and cameras.
+    and a ReportEntry of the mean absolute change against dst_current and
+    the fraction of coefficients that had to be clipped; its iteration and
+    view are None, for refine to set. stripes is refine's striping context;
+    without one the whole map is a single stripe. The stages below check
+    nothing; this checks the description, maps and cameras.
     """
     dst_desc.validate()
     s = as_map(src, "source map")
@@ -286,11 +285,7 @@ def half_iteration(
     out, n_out = stripes.run(dst_desc, s, cur, src_cam, dst_cam, options)
     change = np.subtract(out, cur)
     mean_change = float(np.mean(np.abs(change, out=change)))
-    stats = HalfIterationStats(
-        mean_change=mean_change,
-        clip_fraction=n_out / (dst_desc.n_blocks * BLOCK * BLOCK),
-    )
-    return out, stats
+    return out, ReportEntry(mean_change, n_out / (dst_desc.n_blocks * BLOCK * BLOCK))
 
 
 def refine(
@@ -327,7 +322,10 @@ def refine(
 
     truths = None
     if ground_truth is not None:
-        truths = [as_map(t, f"{view} truth") for view, t in zip(VIEWS, ground_truth)]
+        truths = list(ground_truth)
+        if len(truths) != 2:
+            raise InvalidParameterError(f"ground_truth must be two maps, got {len(truths)}")
+        truths = [as_map(t, f"{view} truth") for view, t in zip(VIEWS, truths)]
         for i, view in enumerate(VIEWS):
             require_same_shape(truths[i], maps[i], f"{view} truth")
 
@@ -338,13 +336,12 @@ def refine(
     with _Stripes(descs, maps[0].shape, count) as stripes:
         scores = [None, None]  # each view's PSNR after its last update
         for it in range(1, opts.max_iters + 1):
-            changes = []
             for src in (first, 1 - first):
                 dst = 1 - src
-                maps[dst], stats = half_iteration(
+                maps[dst], entry = half_iteration(
                     maps[src], cams[src], cams[dst], descs[dst], maps[dst], opts, stripes=stripes
                 )
-                entry = ReportEntry(it, VIEWS[dst], stats.mean_change, stats.clip_fraction)
+                entry.iteration, entry.view = it, VIEWS[dst]
                 if truths is not None:
                     # Only the updated view changed; the other keeps its PSNR.
                     for i in (0, 1):
@@ -353,9 +350,8 @@ def refine(
                     entry.psnr_left, entry.psnr_right = scores
                     entry.g = (scores[0] + scores[1]) / 2.0
                 report.entries.append(entry)
-                changes.append(stats.mean_change)
             report.iterations = it
-            if max(changes) <= opts.eps:
+            if max(e.mean_change for e in report.entries[-2:]) <= opts.eps:
                 report.converged = True
                 break
 

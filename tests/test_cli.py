@@ -853,6 +853,30 @@ class TestParallelSweep:
         assert runs["fork"][0][0] == 0 and len(runs["fork"][1]) == 5 * 19 + 1
         assert runs["fork"] == runs["one-cpu"] == runs["no-fork"]
 
+    def test_step_replies_with_its_run_result(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        # A step in the worker returns its RunResult whole, report and all,
+        # equal to the one the step gives in this process.
+        replies = []
+        in_processes = cli.in_processes
+
+        def recorded(*args):
+            for result in in_processes(*args):
+                replies[-1].append(result)
+                yield result
+
+        monkeypatch.setattr(cli, "in_processes", recorded)
+        for cpus in ((0, 1), (0,)):
+            replies.append([])
+            code, _, _ = self.sweep(monkeypatch, capsys, small_cfg, tmp_path / "out", "16,24", cpus)
+            assert code == 0
+        assert replies[0] == replies[1]
+        for result in replies[0]:
+            assert isinstance(result, cli.RunResult)
+            iterations = range(1, result.report.iterations + 1)
+            assert [e.iteration for e in result.report.entries] == sorted(2 * list(iterations))
+
     def test_forks_one_worker_and_no_stripe_worker(
         self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
     ):
@@ -1165,6 +1189,18 @@ class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit):
             main(["--version"])
+
+    @pytest.mark.parametrize(
+        "verb", ["generate", "compress", "decode", "refine", "evaluate", "run", "sweep"]
+    )
+    def test_each_verb_has_help(self, capsys, verb):
+        with pytest.raises(SystemExit) as info:
+            main([verb, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: depthpocs {verb} ")
+        if verb in ("generate", "refine", "run", "sweep"):  # the verbs that share them
+            assert "--outdir" in text and "--pgm16" in text and "\n  config\n" in text
 
 
 def _load_bench(name):

@@ -290,6 +290,24 @@ class TestEncodeDecode:
         with pytest.raises(InvalidInputError):
             codec.encode_map(np.zeros((0, 0)), codec.flat_table(8.0))
 
+    def test_table_not_8x8_rejected(self):
+        with pytest.raises(InvalidInputError, match="8x8"):
+            codec.encode_map(np.zeros((8, 8)), np.ones((4, 4)))
+
+    @pytest.mark.parametrize(
+        "value, step, message",
+        [(1e308, 24.0, "non-finite"), (100.0, 1e-320, "does not fit int32")],
+        ids=["transform-overflows", "index-overflows"],
+    )
+    def test_overflow_rejected_without_warning(self, value, step, message):
+        # The transform of 1e308 samples overflows; 100 over a 1e-320 step is
+        # an infinite index. quantize's check is the one report, with no
+        # numpy warning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match=message):
+                codec.encode_map(np.full((8, 8), value), np.full((8, 8), step))
+
     def test_decode_of_zero_map(self):
         desc = codec.encode_map(np.zeros((16, 16)), codec.flat_table(8.0))
         assert np.array_equal(codec.decode_map(desc), np.zeros((16, 16)))

@@ -44,6 +44,7 @@ from depthpocs.geometry import CameraParams, simple_camera
 from depthpocs.metrics import psnr
 from depthpocs.pocs import (
     RefineOptions,
+    ReportEntry,
     half_iteration,
     refine,
 )
@@ -121,6 +122,8 @@ class TestHalfIteration:
         got, stats = half_iteration(
             left0, gen.cameras.left, gen.cameras.right, desc_r, right0, opts
         )
+        # The record refine completes: no iteration or view yet.
+        assert isinstance(stats, ReportEntry) and (stats.iteration, stats.view) == (None, None)
 
         samples = forward_warp(left0, gen.cameras.left, gen.cameras.right)
         interp = interpolate_reference(samples, right0, opts.tau)
@@ -285,6 +288,15 @@ class TestRefine:
             with pytest.raises(InvalidInputError, match=message):
                 refine(dl, dl, cam, cam, RefineOptions(), (truth, const))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_truth_must_be_two_maps(self, count):
+        const = np.full((16, 16), 100.0)
+        dl = encode_map(const, flat_table(16.0))
+        cam = simple_camera(100.0, 7.5, 7.5)
+        with pytest.raises(InvalidParameterError, match="two maps") as info:
+            refine(dl, dl, cam, cam, RefineOptions(), (const,) * count)
+        assert info.value.exit_code == 2
+
     def test_option_validation(self):
         with pytest.raises(InvalidParameterError):
             RefineOptions(max_iters=0)
@@ -294,6 +306,11 @@ class TestRefine:
             RefineOptions(start="middle")
         for bad in ({"max_iters": 2.5}, {"max_iters": True}, {"eps": float("nan")}):
             with pytest.raises(InvalidParameterError):
+                RefineOptions(**bad)
+        # Real parameters take a number that is not a bool, as the integer
+        # ones take an integer that is not a bool.
+        for bad in ({"eps": "0.1"}, {"tau": None}, {"sigma_s": "2"}, {"sigma_r": True}):
+            with pytest.raises(InvalidParameterError, match="must be a number"):
                 RefineOptions(**bad)
 
     @pytest.mark.parametrize(
@@ -692,6 +709,23 @@ class TestStripes:
                     stripes=stripes,
                 )
         assert stripes.workers == [] and no_child_left()
+
+    def test_interrupted_fork_reaps_started_workers(self, monkeypatch, no_fd_leaked):
+        # An interrupt while the context forks its second worker ends the
+        # first one, and closes its pipes, before it propagates.
+        gen, dl, dr = coded_pair(16, 24)
+        made = []
+
+        def fork_or_interrupt(*args):
+            if made:
+                raise KeyboardInterrupt
+            made.append(Forked(*args))
+            return made[-1]
+
+        monkeypatch.setattr(pocs, "Forked", fork_or_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            pocs._Stripes((dr,), gen.left.shape, 3)
+        assert len(made) == 1 and no_child_left()
 
     def test_interrupt_in_parent_reaps_workers(self, monkeypatch):
         # The interrupt comes in this process between two half-iterations.
