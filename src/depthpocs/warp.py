@@ -1,11 +1,10 @@
 """Cross-view warping of depth maps for rectified pairs.
 
 forward_warp lifts every source pixel to 3D and drops it into the target
-view. Rectification keeps each sample on its source row, so the samples
-come back as flat arrays in row-major source order: target row, real-valued
-target column, depth and source column. _interpolate_grid then rebuilds
-the target grid from two neighbors per pixel, one picked from each side,
-and bilateral_filter cleans up the result.
+view. Rectification keeps each sample on its source row, so the warp
+returns just a grid of landing columns; the source map holds the depths.
+_interpolate_grid then rebuilds the target grid from two neighbors per
+pixel, one picked from each side, and bilateral_filter cleans up the result.
 
 bilateral_filter runs each window offset on contiguous slices of a flat
 float32 copy of the rows it reads, each padded with radius zero columns on
@@ -47,24 +46,21 @@ from .geometry import CameraParams, projective_scale_grid
 _BAND_PIXELS = 8192
 
 
-def forward_warp(
-    src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Warp every positive-depth source pixel into the target view.
+def forward_warp(src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0) -> np.ndarray:
+    """Landing column in the target view of every source pixel.
 
-    Returns flat arrays (rows, cols, depths, src_cols), one entry per kept
-    sample in row-major source order: target row (equal to the source row),
-    real-valued target column, depth and source column. Samples whose
-    target column falls outside [-1, width] cannot influence any grid
-    pixel and are dropped, as are pixels that end up behind the camera.
-    src may be the rows row0, row0 + 1, ... of a larger map; the returned
-    rows then count from row0.
+    Returns an array of src's shape in 1/256-pixel fixed point: pixel (y, x)
+    lands on row y at the column it holds. A pixel behind the camera, or
+    whose column is not finite or outside [-1, width], holds -2, which
+    serves no grid pixel. src may be the rows row0, row0 + 1, ... of a
+    larger map; row0 places them for the cameras, and the returned rows
+    count from 0.
     """
     h, w = src.shape
     shift = src_cam.k[0, 0] * (dst_cam.t[0] - src_cam.t[0])
     scale = projective_scale_grid(src_cam, src, row0)
     dst_cols = np.empty((h, w))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         np.divide(shift, scale, out=dst_cols)
         np.add(dst_cols, np.arange(w, dtype=np.float64), out=dst_cols)
         # Landing columns are kept in 1/256-pixel fixed point. Surfaces whose
@@ -80,38 +76,32 @@ def forward_warp(
     valid &= np.greater(scale, 0.0, out=test)
     valid &= np.greater_equal(dst_cols, -1.0, out=test)
     valid &= np.less_equal(dst_cols, float(w), out=test)
-    # Room for a sample per pixel, filled from the front: arrays of the same
-    # size on every call let the heap hand back the pages the last one freed.
-    room = [np.empty(h * w, dtype) for dtype in (np.intp, np.float64, np.float64, np.intp)]
-    index = np.flatnonzero(valid)
-    rows, cols, depths, src_cols = (a[: index.size] for a in room)
-    # Every index is in range, so mode="clip" only skips the check.
-    np.divmod(index, w, out=(rows, src_cols))
-    np.take(dst_cols.ravel(), index, out=cols, mode="clip")
-    np.take(src.ravel(), index, out=depths, mode="clip")
-    return rows, cols, depths, src_cols
+    np.copyto(dst_cols, -2.0, where=np.logical_not(valid, out=test))
+    return dst_cols
 
 
-def _target_pixels(rows, cols, side, w: int, n: int) -> np.ndarray:
-    """Each sample's target pixel row * w + side(col), or n where that is off the grid."""
+def _target_pixels(cols, side, n: int) -> np.ndarray:
+    """Each pixel's target pixel y * w + side(col), flat, or n where that is off the grid."""
+    h, w = cols.shape
     column = side(cols)
     tgt = column.astype(np.intp)
-    tgt += rows * w
+    tgt += np.arange(h)[:, None] * w
     np.copyto(tgt, n, where=np.less(column, 0.0))
     np.copyto(tgt, n, where=np.greater_equal(column, w))
-    return tgt
+    return tgt.ravel()
 
 
-def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
+def _pick_side(tgt, cols, depths, flat_current, tau):
     """Each target pixel's pick among the samples that serve it from one side.
 
-    tgt holds each sample's target pixel, or n (the pixel count) for a
-    sample that serves none. A sample more than tau from its pixel's
-    current value is no candidate. Among the candidates the smallest
-    depth wins, then the smallest source column. All are written to their
-    targets, so a pixel with one candidate takes it; only groups of two
-    or more are sorted, and their winners written over. Returns each
-    pixel's picked depth and column, NaN where it has no candidate.
+    The samples are the source pixels in row-major order, at columns cols
+    and depths depths; tgt holds each one's target pixel, or n (the pixel
+    count) where it serves none. A sample more than tau from its pixel's
+    current value is no candidate. Among the candidates the smallest depth
+    wins, then the smallest source column. All are written to their
+    targets, so a pixel with one candidate takes it; only groups of two or
+    more are sorted, and their winners written over. Returns each pixel's
+    picked depth and column, NaN where it has no candidate.
     """
     n = flat_current.size
     # Entry n takes the samples that serve no pixel; tgt sends it those beyond tau too.
@@ -124,7 +114,9 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     count[n] = 0  # entry n is no pixel
     multi = np.flatnonzero(np.take(count, tgt, mode="clip") > 1)
     tm = tgt[multi]
-    order = np.lexsort((src_cols[multi], depths[multi], tm))
+    # lexsort is stable, and the samples serving a pixel all lie on its
+    # row in source order: equal depths keep the smallest source column first.
+    order = np.lexsort((depths[multi], tm))
     tm = tm[order]
     first = np.ones(len(tm), dtype=bool)
     first[1:] = tm[1:] != tm[:-1]
@@ -134,24 +126,27 @@ def _pick_side(tgt, cols, depths, src_cols, flat_current, tau):
     return pick_d[:n], pick_c[:n]
 
 
-def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
+def _interpolate_grid(cols, src, current: np.ndarray, tau: float) -> np.ndarray:
     """Edge-adaptive depth at every integer target pixel.
 
-    samples are forward_warp's flat arrays. Pixel c picks, among the
-    samples within tau of its current value, one from (c-1, c] and one
-    from [c, c+1) (see _pick_side). The two picks are blended linearly by
+    cols is forward_warp's grid of landing columns for the source map src,
+    both of current's shape. Pixel c picks, among the samples on its row
+    within tau of its current value, one from (c-1, c] and one from
+    [c, c+1) (see _pick_side). The two picks are blended linearly by
     horizontal distance; with a single pick its depth is returned, and
     with none the current value is kept. Each sample can serve one pixel
     from the left (ceil(col)) and one from the right (floor(col)).
     """
-    rows, cols, depths, src_cols = samples
     h, w = current.shape
     n = h * w
     flat_current = current.ravel()
+    # Made before the temporaries below, so that they free one stretch of the
+    # heap, large enough for the filter's buffer of band terms.
+    out = flat_current.copy()
     picked = []
     for side in (np.ceil, np.floor):
-        tgt = _target_pixels(rows, cols, side, w, n)
-        picked.append(_pick_side(tgt, cols, depths, src_cols, flat_current, tau))
+        tgt = _target_pixels(cols, side, n)
+        picked.append(_pick_side(tgt, cols.ravel(), src.ravel(), flat_current, tau))
     (p1d, t1), (p2d, t2) = picked
     # Distances to the picks, on the rows of the grid and in place of the
     # pick columns: t1 = column - left pick, t2 = right pick - column.
@@ -169,7 +164,6 @@ def _interpolate_grid(samples, current: np.ndarray, tau: float) -> np.ndarray:
     # The blend where both picks exist, else the one pick, else current.
     have1 = np.logical_not(np.isnan(p1d, out=mask), out=mask)
     have2 = np.logical_not(np.isnan(p2d))
-    out = flat_current.copy()
     np.copyto(out, p2d, where=have2)
     np.copyto(out, p1d, where=have1)
     np.copyto(out, blend, where=np.logical_and(have1, have2, out=have1))
@@ -220,8 +214,9 @@ def bilateral_filter(
     other x: the pad changes no bit. A deviation of 0 is 0 in float32 too,
     so flat regions stay exactly flat.
     """
-    r = int(radius)
     h, w = map_.shape
+    # Offsets of max(h, w) or more pair no pixels and add +0, at a cost cubic in r.
+    r = min(int(radius), max(h, w))
     a, b = (0, h) if rows is None else rows
     if r == 0:
         return map_[a:b].copy()
@@ -326,8 +321,8 @@ def project_view(
     h = src.shape[0]
     a, b = (0, h) if rows is None else rows
     s0, s1 = max(0, a - radius), min(h, b + radius)
-    # No name holds the warp's samples, so they are freed before the filter runs.
+    # No name holds the landing columns, so they are freed before the filter runs.
     interp = _interpolate_grid(
-        forward_warp(src[s0:s1], src_cam, dst_cam, s0), dst_current[s0:s1], tau
+        forward_warp(src[s0:s1], src_cam, dst_cam, s0), src[s0:s1], dst_current[s0:s1], tau
     )
     return bilateral_filter(interp, sigma_s, sigma_r, radius, (a - s0, b - s0))

@@ -764,6 +764,33 @@ class TestPieceWiseVerbs:
         assert raw.startswith(b"P5\n16 16\n65535\n")
         assert np.all(np.frombuffer(raw[-512:], ">u2") == 65535)
 
+    def test_refine_with_overflowing_disparity_warns_nothing(self, tmp_path, capsys):
+        # focal * baseline / s overflows to inf at baseline 1e306. Every
+        # sample then lands off the other view, as all do at baseline 1e6,
+        # so the two refines write the same bytes.
+        rng = np.random.default_rng(3)
+        descs = []
+        for view in ("left", "right"):
+            pgm = tmp_path / f"{view}.pgm"
+            write_pgm(pgm, rng.uniform(40.0, 200.0, (16, 16)).round())
+            descs += [f"--{view}-desc", str(tmp_path / f"{view}.qdm")]
+            assert main(["compress", str(pgm), "-o", descs[-1], "--delta", "0.01"]) == 0
+        outs = {}
+        for baseline in ("1e306", "1e6"):
+            cfg = tmp_path / f"b{baseline}.ini"
+            cfg.write_text(
+                "[inputs]\nleft = left.pgm\nright = right.pgm\n"
+                f"[camera]\nfocal = 100\nbaseline = {baseline}\n"
+            )
+            out = tmp_path / f"out-{baseline}"
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["refine", str(cfg), *descs, "-o", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            outs[baseline] = tree(out)
+        assert outs["1e306"] == outs["1e6"]
+
     def test_refine_import_mode_needs_no_input_maps(self, coded, tmp_path):
         # Only the camera sections are used; the [inputs] maps may be absent.
         cfg = tmp_path / "import.ini"

@@ -125,8 +125,8 @@ class TestHalfIteration:
         # The record refine completes: no iteration or view yet.
         assert isinstance(stats, ReportEntry) and (stats.iteration, stats.view) == (None, None)
 
-        samples = forward_warp(left0, gen.cameras.left, gen.cameras.right)
-        interp = interpolate_reference(samples, right0, opts.tau)
+        cols = forward_warp(left0, gen.cameras.left, gen.cameras.right)
+        interp = interpolate_reference(cols, left0, right0, opts.tau)
         smooth = bilateral_filter(interp, opts.sigma_s, opts.sigma_r, opts.radius)
         padded = pad_to_blocks(smooth)
         coeffs = dct_blocks(split_blocks(padded))

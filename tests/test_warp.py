@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 from depthpocs import warp
 from depthpocs.geometry import simple_camera
 from depthpocs.warp import _interpolate_grid, bilateral_filter, forward_warp, project_view
-from warp_oracle import (
-    ProjectedSample,
-    bilateral_reference,
-    interpolate_at,
-    interpolate_reference,
-    row_buckets,
-)
+from warp_oracle import ProjectedSample, bilateral_reference, interpolate_at, interpolate_reference
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -37,58 +31,61 @@ def cam_pair(focal=100.0, cx=32.0, cy=32.0, baseline=10.0):
     return simple_camera(focal, cx, cy, 0.0), simple_camera(focal, cx, cy, baseline)
 
 
+OFF = -2.0  # forward_warp's column for a pixel that serves no target pixel
+
+
 class TestForwardWarp:
     def test_identity_lands_on_own_grid(self):
         rng = np.random.default_rng(71)
         m = rng.uniform(1.0, 255.0, (24, 24))
         cam = simple_camera(120.0, 11.5, 11.5)
-        samples = forward_warp(m, cam, cam)
-        assert np.array_equal(samples[0], np.repeat(np.arange(24), 24))
-        buckets = row_buckets(samples, 24)
-        for r, b in enumerate(buckets):
-            assert np.array_equal(b.cols, np.arange(24, dtype=float))
-            assert np.array_equal(b.depths, m[r])
-            assert np.array_equal(b.src_cols, np.arange(24))
+        cols = forward_warp(m, cam, cam)
+        assert np.array_equal(cols, np.tile(np.arange(24.0), (24, 1)))
 
     def test_constant_depth_exact_disparity(self):
         left, right = cam_pair(focal=100.0, baseline=10.0)
         m = np.full((64, 64), 50.0)
-        _, cols, _, src_cols = forward_warp(m, left, right)
-        assert np.all(cols - src_cols == 20.0)
+        cols = forward_warp(m, left, right)
+        x = np.arange(64.0)
+        # Columns 0-44 land at 20-64; the rest pass the right margin.
+        assert np.array_equal(cols, np.tile(np.where(x <= 44, x + 20.0, OFF), (64, 1)))
 
     def test_empty_map(self):
         left, right = cam_pair()
-        assert all(len(a) == 0 for a in forward_warp(np.zeros((0, 0)), left, right))
+        assert forward_warp(np.zeros((0, 0)), left, right).shape == (0, 0)
 
     def test_out_of_range_columns_discarded(self):
         left, right = cam_pair(focal=100.0, baseline=10.0)
         m = np.full((8, 32), 10.0)  # disparity 100, everything lands far right
-        for b in row_buckets(forward_warp(m, left, right), 8):
-            assert len(b.cols) == 0
+        assert np.all(forward_warp(m, left, right) == OFF)
 
     def test_keeps_margin_columns(self):
         # disparity -1.0 exactly: source column 0 lands at -1 and is kept
         left, right = cam_pair(focal=100.0, baseline=-0.5)
         m = np.full((4, 8), 50.0)
-        for b in row_buckets(forward_warp(m, left, right), 4):
-            assert b.cols[0] == -1.0
+        assert np.all(forward_warp(m, left, right)[:, 0] == -1.0)
 
     def test_zero_depth_pixels_skipped(self):
         left, right = cam_pair(baseline=1.0)  # disparity 2.5 at depth 40
         m = np.full((4, 32), 40.0)
         m[1, 2] = 0.0
         m[3, 4] = -2.0
-        buckets = row_buckets(forward_warp(m, left, right), 4)
-        assert len(buckets[1].cols) == len(buckets[0].cols) - 1
-        assert 2 not in buckets[1].src_cols
-        assert 4 not in buckets[3].src_cols
+        cols = forward_warp(m, left, right)
+        off = np.zeros((4, 32), bool)
+        off[:, 30:] = True  # 29 + 2.5 is the last column within the width
+        off[1, 2] = off[3, 4] = True
+        assert np.array_equal(cols == OFF, off)
 
     def test_row_major_source_order(self):
+        # Entry (y, x) is source pixel (y, x)'s own landing column: with
+        # R = I and no z offset, x + f b / d in 1/256 steps, or OFF.
         left, right = cam_pair(focal=90.0, cx=15.5, cy=15.5, baseline=7.0)
         m = np.random.default_rng(79).uniform(20.0, 250.0, (16, 32))
-        rows, _, _, src_cols = forward_warp(m, left, right)
-        key = rows * 32 + src_cols
-        assert np.all(np.diff(key) > 0)
+        cols = forward_warp(m, left, right)
+        for y in range(16):
+            for x in range(32):
+                col = round((x + 90.0 * 7.0 / m[y, x]) * 256.0) / 256.0
+                assert cols[y, x] == (col if col <= 32.0 else OFF), (y, x)
 
 
 def sample(row, col, depth, src_col=0):
@@ -145,31 +142,32 @@ class TestInterpolateAt:
         assert interpolate_at(5, 10, cands, 50.0, 8.0) == 50.0
 
 
-def group_sizes(samples, w):
+def group_sizes(cols):
     """Number of samples serving each served pixel, per side."""
-    rows, cols, _, _ = samples
+    h, w = cols.shape
+    rows = np.arange(h)[:, None]
     sizes = []
     for targets in (np.ceil(cols), np.floor(cols)):
         ok = (targets >= 0) & (targets < w)
-        counts = np.bincount(rows[ok] * w + targets[ok].astype(np.int64))
+        counts = np.bincount((rows * w + targets)[ok].astype(np.int64))
         sizes.append(counts[counts > 0])
     return sizes
 
 
 @st.composite
 def flat_samples(draw):
-    """Random samples obeying forward_warp's layout: row-major source order,
-    each source column at most once per row, columns within [-1, width].
-    Columns on a quarter-pixel lattice and depths from a few levels force
-    shared targets, exact hits and depth ties."""
+    """Random landing-column grids as forward_warp returns them, with their
+    source maps: each column within [-1, width] or OFF. Columns on a
+    quarter-pixel lattice and depths from a few levels force shared
+    targets, exact hits and depth ties."""
     h = draw(st.integers(1, 6))
     w = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows, src_cols = np.nonzero(rng.random((h, w)) < draw(st.floats(0.0, 1.0)))
-    cols = rng.integers(-4, 4 * w + 1, len(rows)) / 4.0
-    depths = rng.choice([20.0, 30.0, 30.5, 60.0, 90.0], len(rows))
+    cols = rng.integers(-4, 4 * w + 1, (h, w)) / 4.0
+    cols[rng.random((h, w)) >= draw(st.floats(0.0, 1.0))] = OFF
+    src = rng.choice([20.0, 30.0, 30.5, 60.0, 90.0], (h, w))
     current = rng.choice([20.0, 33.0, 61.0, 500.0], (h, w))
-    return (rows, cols, depths, src_cols), current
+    return cols, src, current
 
 
 class TestGridMatchesScalar:
@@ -182,9 +180,9 @@ class TestGridMatchesScalar:
             )
             cur = np.clip(m + rng.normal(0.0, 4.0, m.shape), 1.0, 255.0)
             src_cam, dst_cam = (left, right) if trial % 2 == 0 else (right, left)
-            samples = forward_warp(m, src_cam, dst_cam)
-            grid = _interpolate_grid(samples, cur, 8.0)
-            want = interpolate_reference(samples, cur, 8.0)
+            cols = forward_warp(m, src_cam, dst_cam)
+            grid = _interpolate_grid(cols, m, cur, 8.0)
+            want = interpolate_reference(cols, m, cur, 8.0)
             for r in range(32):
                 for c in range(32):
                     assert grid[r, c] == want[r, c], (trial, r, c)
@@ -196,26 +194,24 @@ class TestGridMatchesScalar:
         m = rng.uniform(1.0, 255.0, (16, 20))
         cur = rng.uniform(1.0, 255.0, (16, 20))
         cam = simple_camera(120.0, 9.5, 7.5)
-        samples = forward_warp(m, cam, cam)
-        assert all(np.all(s == 1) for s in group_sizes(samples, 20))
-        grid = _interpolate_grid(samples, cur, 8.0)
-        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+        cols = forward_warp(m, cam, cam)
+        assert all(np.all(s == 1) for s in group_sizes(cols))
+        grid = _interpolate_grid(cols, m, cur, 8.0)
+        assert np.array_equal(grid, interpolate_reference(cols, m, cur, 8.0))
         assert np.array_equal(grid, np.where(np.abs(m - cur) <= 8.0, m, cur))
 
     def test_only_multi_candidate_groups(self):
-        # two samples at c + 0.25 and c + 0.5 for every column c: each served
-        # pixel gets exactly two candidates from each side
+        # source j lands at j // 2 + 0.25 or + 0.5: each served pixel gets
+        # exactly two candidates from each side
         rng = np.random.default_rng(81)
         h, w = 6, 10
-        rows = np.repeat(np.arange(h), 2 * w)
-        src_cols = np.tile(np.arange(2 * w), h)
-        cols = np.tile(np.repeat(np.arange(w), 2) + np.tile([0.25, 0.5], w), h)
-        depths = rng.choice([40.0, 45.0, 50.0, 80.0], len(rows))
+        j = np.arange(w)
+        cols = np.tile(j // 2 + np.where(j % 2 == 0, 0.25, 0.5), (h, 1))
+        m = rng.choice([40.0, 45.0, 50.0, 80.0], (h, w))
         cur = rng.choice([42.0, 52.0, 200.0], (h, w))
-        samples = (rows, cols, depths, src_cols)
-        assert all(np.all(s == 2) for s in group_sizes(samples, w))
-        grid = _interpolate_grid(samples, cur, 8.0)
-        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+        assert all(np.all(s == 2) for s in group_sizes(cols))
+        grid = _interpolate_grid(cols, m, cur, 8.0)
+        assert np.array_equal(grid, interpolate_reference(cols, m, cur, 8.0))
 
     def test_groups_beyond_tau_keep_current(self):
         # Where the current value is 1000, every sample lies beyond tau of
@@ -225,26 +221,46 @@ class TestGridMatchesScalar:
         m = np.clip(np.cumsum(rng.uniform(-6.0, 6.0, (24, 32)), axis=1) + 90.0, 10.0, 200.0)
         far = rng.random(m.shape) < 0.5
         cur = np.where(far, 1000.0, m)
-        samples = forward_warp(m, left, right)
-        assert any(np.any(s > 1) for s in group_sizes(samples, 32))
-        grid = _interpolate_grid(samples, cur, 8.0)
+        cols = forward_warp(m, left, right)
+        assert any(np.any(s > 1) for s in group_sizes(cols))
+        grid = _interpolate_grid(cols, m, cur, 8.0)
         assert np.array_equal(grid[far], cur[far])
         assert not np.array_equal(grid[~far], cur[~far])
-        assert np.array_equal(grid, interpolate_reference(samples, cur, 8.0))
+        assert np.array_equal(grid, interpolate_reference(cols, m, cur, 8.0))
+
+    def test_equal_depths_pick_smallest_source_column(self):
+        # Even sources 0-78 land in (3, 4) and odd ones in (20, 21), all at
+        # one depth, in reverse column order. So sources 0 and 1, at 3.625
+        # and 20.625, must serve pixels 4 and 21 from the left and pixels 3
+        # and 20 from the right. Pixels 10 and 11 each get a group whose
+        # depths interleave with the other's, so both sort keys matter.
+        cols = np.full((1, 96), OFF)
+        src = np.full((1, 96), 30.0)
+        x = np.arange(80)
+        cols[0, :80] = np.where(x % 2 == 0, 3.0, 20.0) + (40 - x // 2) / 64.0
+        cols[0, 80:88] = 4.5, 21.5, 2.5, 19.5, 9.5, 9.75, 10.5, 10.75
+        src[0, 80:88] = 40.0, 40.0, 36.0, 36.0, 50.0, 60.0, 55.0, 65.0
+        cur = np.full((1, 96), 35.0)
+        grid = _interpolate_grid(cols, src, cur, 1e9)
+        # 0.375 from each tie's winner to pixel 4 or 21, 0.625 to pixel 3 or 20.
+        assert grid[0, 4] == grid[0, 21] == (30.0 * 0.5 + 40.0 * 0.375) / 0.875
+        assert grid[0, 3] == grid[0, 20] == (36.0 * 0.625 + 30.0 * 0.5) / 1.125
+        # Pixels 9-11 take the shallower sample of each group: 50 and 55.
+        assert grid[0, 9:12].tolist() == [50.0, 52.5, 55.0]
+        assert np.array_equal(grid, interpolate_reference(cols, src, cur, 1e9))
 
     @settings(max_examples=300, deadline=None)
     @given(flat_samples())
     def test_random_samples_match_oracle(self, case):
-        samples, cur = case
+        cols, src, cur = case
         # tau = 1e9 makes every sample a candidate: the nearest surface wins.
         for tau in (0.0, 8.0, 1e9):
-            grid = _interpolate_grid(samples, cur, tau)
-            assert np.array_equal(grid, interpolate_reference(samples, cur, tau))
+            grid = _interpolate_grid(cols, src, cur, tau)
+            assert np.array_equal(grid, interpolate_reference(cols, src, cur, tau))
 
     def test_no_buckets_returns_current_copy(self):
         cur = np.random.default_rng(0).uniform(0, 255, (5, 5))
-        empty = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-        out = _interpolate_grid(empty, cur, 8.0)
+        out = _interpolate_grid(np.full((5, 5), OFF), cur + 1.0, cur, 8.0)
         assert np.array_equal(out, cur)
         assert out is not cur
 
@@ -322,6 +338,16 @@ class TestBilateral:
         out = bilateral_filter(m, 2.0, 10.0, 0)
         assert np.array_equal(out, m)
         assert out is not m
+
+    @pytest.mark.parametrize("shape", [(4, 4), (9, 23), (30, 5)])
+    def test_radius_past_the_map_changes_no_bit(self, shape):
+        # No offset of max(h, w) or more pairs two pixels of the map, so a
+        # radius of 10**9 (about 2e18 offsets) gives radius max(h, w) - 1's bits.
+        m = np.random.default_rng(sum(shape)).uniform(0.0, 255.0, shape)
+        out = bilateral_filter(m, 2.0, 10.0, 10**9)
+        assert_same_bits(out, bilateral_filter(m, 2.0, 10.0, max(shape)))
+        assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, max(shape) - 1))
+        assert_same_bits(bilateral_filter(m, 2.0, 10.0, 10**9, (1, 3)), out[1:3])
 
     @pytest.mark.parametrize("h", [1, 2, 31, 32, 33, 63, 64, 65])
     def test_band_edges_match_reference(self, monkeypatch, h):
@@ -439,7 +465,7 @@ class TestProjectView:
         left, right = cam_pair(focal=100.0, cx=15.5, cy=15.5, baseline=10.0)
         src = np.full((8, 32), 50.0)  # disparity 20: target cols 0..19 are holes
         cur = np.random.default_rng(77).uniform(0, 255, (8, 32))
-        out = _interpolate_grid(forward_warp(src, left, right), cur, 8.0)
+        out = _interpolate_grid(forward_warp(src, left, right), src, cur, 8.0)
         assert np.array_equal(out[:, :19], cur[:, :19])
 
     def test_deterministic(self):

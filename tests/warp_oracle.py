@@ -39,14 +39,13 @@ class RowSamples(NamedTuple):
         ]
 
 
-def row_buckets(samples, height: int) -> list[RowSamples]:
-    """Per-row slices of forward_warp's flat (rows, cols, depths, src_cols)."""
-    rows, cols, depths, src_cols = samples
-    buckets = []
-    for r in range(height):
-        keep = rows == r
-        buckets.append(RowSamples(cols[keep], depths[keep], src_cols[keep]))
-    return buckets
+def row_buckets(cols: np.ndarray, src: np.ndarray) -> list[RowSamples]:
+    """Per-row samples from forward_warp's landing columns and the source map.
+
+    Row r's samples are its source pixels in column order. A sample that
+    serves no pixel keeps its column, which lies outside (-1, width + 1).
+    """
+    return [RowSamples(c, d, np.arange(len(c))) for c, d in zip(cols, src)]
 
 
 def _selection_key(depth: float, src_col: int):
@@ -101,11 +100,11 @@ def interpolate_at(
     return current
 
 
-def interpolate_reference(samples, current: np.ndarray, tau: float) -> np.ndarray:
+def interpolate_reference(cols, src, current: np.ndarray, tau: float) -> np.ndarray:
     """interpolate_at at every pixel of the target grid."""
     h, w = current.shape
     out = np.empty_like(current)
-    for r, bucket in enumerate(row_buckets(samples, h)):
+    for r, bucket in enumerate(row_buckets(cols, src)):
         cands = bucket.samples(r)
         for c in range(w):
             out[r, c] = interpolate_at(r, c, cands, current[r, c], tau)
