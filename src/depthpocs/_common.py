@@ -10,7 +10,7 @@ import pickle
 
 import numpy as np
 
-from .errors import DepthPocsError, InvalidInputError, InvalidParameterError
+from .errors import REPORTED, DepthPocsError, InvalidInputError, InvalidParameterError
 
 
 def as_map(a, name: str = "map") -> np.ndarray:
@@ -58,12 +58,13 @@ class Forked:
 
     send pickles a request into one pipe; receive returns the reply to the
     oldest request not yet received, from another. An error serve raises
-    in the child is raised by receive: a DepthPocsError, MemoryError,
-    OSError or FloatingPointError as it is, so that it keeps its exit code,
-    anything else as DepthPocsError("{what} failed: {type}: {msg}").
+    in the child is raised by receive: one of errors.REPORTED as it is, so
+    that it keeps its exit code, anything else as
+    DepthPocsError("{what} failed: {type}: {msg}").
     A child that ends without a reply gives "{what} exited without a
     reply", a request to a child that has ended "{what} exited early".
-    The constructor raises OSError where no pipe or process can be had.
+    The constructor raises OSError where no pipe or process can be had;
+    in_processes then runs every index here, and pocs._Stripes one stripe.
     close kills and reaps the child, idle, busy or ended; call it once.
 
     numpy starts OpenBLAS's thread pool on import, but OpenBLAS stops it
@@ -168,12 +169,13 @@ def in_processes(compute, count: int, what: str):
 
 
 def _serve(serve, what: str, requests, replies) -> None:
-    """The child's loop: one reply per request, until the parent's end of the pipe closes."""
+    """The child's loop: one reply per request, until the parent's end of the pipe closes;
+    an error of errors.REPORTED goes back as it is, any other named in a DepthPocsError."""
     while True:
         request = pickle.load(requests)  # EOFError, which ends the child, once the parent is gone
         try:
             reply = serve(*request), None
-        except (DepthPocsError, MemoryError, OSError, FloatingPointError) as exc:
+        except REPORTED as exc:
             reply = None, exc
         except Exception as exc:
             reply = None, DepthPocsError(f"{what} failed: {type(exc).__name__}: {exc}")

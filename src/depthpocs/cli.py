@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -46,7 +45,7 @@ import numpy as np
 from . import __version__
 from ._common import in_processes
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
-from .errors import ConfigError, DepthPocsError, InvalidParameterError
+from .errors import REPORTED, ConfigError, InvalidParameterError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
 from .metrics import QualityScore, error_map, quality_g
 from .pgm import read_pgm, write_pgm
@@ -270,8 +269,6 @@ def _write_truth(outdir: Path, inputs: GeneratedScene, deep: bool) -> None:
 def _fmt(x) -> str:
     if x is None:
         return "nan"
-    if math.isinf(x):
-        return "inf"
     return f"{x:.6f}"
 
 
@@ -510,15 +507,9 @@ def main(argv=None) -> int:
     _keep_freed_memory()
     try:
         return args.func(args)
-    except DepthPocsError as exc:
+    except REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 3 if isinstance(exc, OSError) else 4)
 
 
 if __name__ == "__main__":

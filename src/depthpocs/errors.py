@@ -6,6 +6,9 @@ the process exit code the CLI returns for it: 2 for an invalid
 configuration or argument (a step size, a quality, an option, maps of
 different sizes), 3 for an unreadable file, 4 for every other failure,
 such as a description that no map in [0, 256] is coded to (see decode_map).
+REPORTED lists every failure the CLI reports, and the only ones a forked
+process passes back as they are (see _common.Forked): a library error
+with its own code, OSError with 3, MemoryError and FloatingPointError with 4.
 """
 
 
@@ -51,3 +54,6 @@ class PgmFormatError(DepthPocsError, ValueError):
     """A file does not parse as a binary 8- or 16-bit PGM graymap."""
 
     exit_code = 3
+
+
+REPORTED = (DepthPocsError, OSError, MemoryError, FloatingPointError)

@@ -40,7 +40,7 @@ import numpy as np
 
 from ._common import Forked, as_map, fork_cpus, require_same_shape
 from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
-from .errors import DepthPocsError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, require_rectified
 from .metrics import psnr
 from .pgm import MAX_LEVEL
@@ -175,9 +175,10 @@ class _Stripes:
     first one. The whole source and target maps travel through anonymous
     shared memory mapped before the fork, so only project_view knows which
     rows a stripe reads. Each request carries the other arguments of a
-    half-iteration, and each reply a clip count. Where the shared memory, a
-    pipe or a worker cannot be had, the workers already forked end and the
-    context keeps one stripe. Leaving the context ends the workers.
+    half-iteration, and each reply a clip count or an error, by the rule of
+    errors.REPORTED (see Forked). close ends the workers and leaves one
+    stripe, which then runs here: where the shared memory, a pipe or a
+    worker cannot be had, after a failed call and on leaving the context.
     """
 
     def __init__(self, descs, shape: tuple[int, int], count: int = 1):
@@ -197,7 +198,6 @@ class _Stripes:
                     self.workers.append(Forked(serve, "stripe worker"))
             except (OSError, OverflowError):  # no shared memory, pipe or process to spare
                 self.close()
-                self.rows = [(0, h)]
             except BaseException:
                 self.close()
                 raise
@@ -222,13 +222,11 @@ class _Stripes:
         """The half-iteration's output map and its clip count, from every stripe.
 
         A failure ends the workers first (see close), so that no reply of
-        this call is left for the next one to read.
+        this call is left for the next one to read; later calls run one stripe.
         """
         index = next((i for i, d in enumerate(self.descs) if d is desc), None)
         if index is None:
             raise InvalidInputError("description is not one of this refine's views")
-        if len(self.workers) != len(self.rows) - 1:
-            raise DepthPocsError("stripe context is closed: its workers have ended")
         try:
             out = np.empty_like(cur)
             if self.workers:
@@ -246,8 +244,9 @@ class _Stripes:
             raise
 
     def close(self) -> None:
-        """End every worker; a context with more than one stripe cannot run again."""
+        """End every worker and keep one stripe, so that len(workers) == len(rows) - 1 holds."""
         workers, self.workers = self.workers, []
+        self.rows = [(0, self.rows[-1][1])]
         for worker in workers:
             worker.close()
 

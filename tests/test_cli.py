@@ -946,28 +946,58 @@ class TestParallelSweep:
         self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked, failing, printed
     ):
         # On two CPUs delta 32 runs in the worker; delta 48 runs here, after
-        # the worker's delta 32 succeeded.
+        # the worker's delta 32 succeeded. Every class the CLI reports, one
+        # per exit code, crosses the fork as it is and keeps its code.
         run_protocol = cli.run_protocol
+        out = tmp_path / "out"
+        for error, exit_code in (
+            (errors.InvalidParameterError, 2),
+            (errors.PgmFormatError, 3),
+            (errors.CorruptDescriptionError, 4),
+            (PermissionError, 3),
+            (MemoryError, 4),
+            (FloatingPointError, 4),
+        ):
+            assert issubclass(error, errors.REPORTED)
+
+            def fails(inputs, table, opts, outdir, **kwargs):
+                if outdir.name == f"delta_{failing}":
+                    raise error("injected")
+                return run_protocol(inputs, table, opts, outdir, **kwargs)
+
+            monkeypatch.setattr(cli, "run_protocol", fails)
+            results = []
+            for cpus in ((0,), (0, 1)):
+                results.append(self.sweep(monkeypatch, capsys, small_cfg, out, "16,32,48", cpus))
+                assert not (out / "aggregate.csv").exists()
+                shutil.rmtree(out)
+            one, two = results
+            assert two == one, error
+            code, stdout, stderr = one
+            assert (code, stderr) == (exit_code, "error: injected\n"), error
+            assert [line.split(":")[0] for line in stdout.splitlines()] == [
+                f"delta {d}" for d in printed
+            ]
+
+    def test_other_error_in_worker_is_named(
+        self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked
+    ):
+        # A class outside errors.REPORTED crosses the fork as a DepthPocsError
+        # that names it, exit 4.
+        assert not issubclass(RuntimeError, errors.REPORTED)
+        parent, run_protocol = os.getpid(), cli.run_protocol
 
         def fails(inputs, table, opts, outdir, **kwargs):
-            if outdir.name == f"delta_{failing}":
-                raise errors.InvalidInputError("injected")
+            if os.getpid() != parent:
+                raise RuntimeError("injected")
             return run_protocol(inputs, table, opts, outdir, **kwargs)
 
         monkeypatch.setattr(cli, "run_protocol", fails)
         out = tmp_path / "out"
-        results = []
-        for cpus in ((0,), (0, 1)):
-            results.append(self.sweep(monkeypatch, capsys, small_cfg, out, "16,32,48", cpus))
-            assert not (out / "aggregate.csv").exists()
-            shutil.rmtree(out)
-        one, two = results
-        assert two == one
-        code, stdout, stderr = one
-        assert (code, stderr) == (4, "error: injected\n")
-        assert [line.split(":")[0] for line in stdout.splitlines()] == [
-            f"delta {d}" for d in printed
-        ]
+        code, stdout, stderr = self.sweep(monkeypatch, capsys, small_cfg, out, "16,32,48")
+        assert (code, stderr) == (4, "error: sweep worker failed: RuntimeError: injected\n")
+        assert [line.split(":")[0] for line in stdout.splitlines()] == ["delta 16"]
+        assert not (out / "aggregate.csv").exists()
 
     def test_io_error_in_worker_as_in_one_process(
         self, small_cfg, tmp_path, monkeypatch, capsys, no_fd_leaked

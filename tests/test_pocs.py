@@ -555,16 +555,30 @@ class TestStripes:
                     stripes=stripes,
                 )
 
-    def test_closed_context_refuses_to_run(self):
+    @pytest.mark.parametrize("ended", ["closed", "worker-killed"])
+    def test_ended_context_runs_one_stripe(self, monkeypatch, no_fd_leaked, ended):
+        # A context whose workers have ended, closed on leaving it or after a
+        # call that met a dead worker, runs the map here as one stripe.
         gen, dl, dr = coded_pair(16, 24)
         cams = gen.cameras
+        args = (gen.left, cams.left, cams.right, dr, gen.right, RefineOptions())
+        want, want_entry = half_iteration(*args, stripes=pocs._Stripes((dr,), gen.left.shape))
         with pocs._Stripes((dr,), gen.left.shape, 2) as stripes:
-            assert len(stripes.workers) == 1
-        assert stripes.workers == [] and no_child_left()
-        with pytest.raises(DepthPocsError, match="closed"):
-            half_iteration(
-                gen.left, cams.left, cams.right, dr, gen.right, RefineOptions(), stripes=stripes
-            )
+            assert len(stripes.workers) == 1 and len(stripes.rows) == 2
+            if ended == "worker-killed":
+                pid = stripes.workers[0].pid
+                os.kill(pid, signal.SIGKILL)
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+                with pytest.raises(DepthPocsError, match="stripe worker exited early"):
+                    half_iteration(*args, stripes=stripes)
+        assert stripes.workers == [] and stripes.rows == [(0, 24)] and no_child_left()
+
+        def no_fork():
+            raise AssertionError("an ended stripe context forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        got, entry = half_iteration(*args, stripes=stripes)
+        assert np.array_equal(got, want) and entry == want_entry
 
     @pytest.mark.parametrize("height", [1, 8, 9, 64, 65, 80])
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
