@@ -10,9 +10,9 @@ Each piece of the pipeline is built in one place. _read_sections reads
 every config section, the camera file's too, through one table: _SECTIONS,
 and _PRIMITIVES per [primitive.*] type, give each key its value reader and
 say whether it is required. A section or key they do not list is a
-ConfigError. Step tables come from _step_table; the [camera] rig from
-geometry.stereo_pair, through generate_scene in scene mode and through
-RunConfig.camera_pair (with a map shape) in import mode and in `refine`;
+ConfigError. Step tables come from _step_table; the config's one rig is
+RunConfig.camera_pair (a map shape in, the cameras out), used by import
+mode and `refine`; scene mode renders [camera] through generate_scene;
 the truth pair from resolve_inputs; the protocol from run_protocol and
 report.csv from write_report_csv. `sweep` renders the scene, or reads the
 [inputs] maps, once and runs the protocol on those arrays for every step,
@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -62,16 +63,9 @@ class RunConfig:
 
     scene: SceneSpec | None
     inputs: tuple[Path, Path] | None
-    cameras: RectifiedPair | None
-    camera: dict | None  # the [camera] values: focal, baseline and maybe cx, cy
+    camera_pair: Callable[[tuple[int, int]], RectifiedPair]  # map shape in, the one rig out
     table: np.ndarray
     options: RefineOptions
-
-    def camera_pair(self, shape: tuple[int, int]) -> RectifiedPair:
-        """The cameras for maps of `shape`; a missing cx/cy is the image centre."""
-        if self.cameras is not None:
-            return self.cameras
-        return stereo_pair(shape, **self.camera)
 
 
 # Value readers: the text of one key (never empty) in, its value out, or a
@@ -209,30 +203,29 @@ def load_config(path) -> RunConfig:
             _read_sections(base / inputs["camera_file"], "camera file", _CAMERA_FILE_SECTIONS)
         )
 
-    cameras, camera = None, sections.get("camera")
+    rig, camera = None, sections.get("camera")
     views = [sections.get(name) for name in _CAMERA_FILE_SECTIONS]
     if any(views):
         if not all(views):
             raise ConfigError("need both [camera.left] and [camera.right]")
         if camera is not None:
             raise ConfigError("give either [camera] or [camera.left]/[camera.right], not both")
-        cameras = RectifiedPair(*(CameraParams(**view) for view in views))
+        rig = RectifiedPair(*(CameraParams(**view) for view in views))
 
-    scene = pair = None
+    primitives = [name for name in sections if name.startswith("primitive.")]
+    scene = maps = None
     if "scene" in sections:
         if camera is None:
             raise ConfigError("scene mode needs a [camera] section and no camera matrices")
-        primitives = [
-            _PRIMITIVES[values.pop("type")][0](**values)
-            for name, values in sections.items()
-            if name.startswith("primitive.")
-        ]
         if not primitives:
             raise ConfigError("scene mode needs at least one [primitive.*] section")
-        scene = SceneSpec(**sections["scene"], **camera, primitives=primitives)
+        built = [_PRIMITIVES[sections[n].pop("type")][0](**sections[n]) for n in primitives]
+        scene = SceneSpec(**sections["scene"], **camera, primitives=built)
     elif inputs is not None:
-        pair = (base / inputs["left"], base / inputs["right"])
-        if cameras is None and camera is None:
+        if primitives:
+            raise ConfigError(f"import mode reads no [{primitives[0]}] section")
+        maps = (base / inputs["left"], base / inputs["right"])
+        if rig is None and camera is None:
             raise ConfigError("import mode needs [camera.left]/[camera.right] "
                               "matrices or a [camera] section")
     else:
@@ -242,9 +235,8 @@ def load_config(path) -> RunConfig:
         options = RefineOptions(**sections.get("refine", {}))
     except InvalidParameterError as exc:
         raise ConfigError(f"bad [refine] options: {exc}") from exc
-    return RunConfig(
-        scene, pair, cameras, camera, _step_table(**sections.get("quant", {})), options
-    )
+    camera_pair = (lambda shape: rig) if camera is None else partial(stereo_pair, **camera)
+    return RunConfig(scene, maps, camera_pair, _step_table(**sections.get("quant", {})), options)
 
 
 def resolve_inputs(config: RunConfig) -> GeneratedScene:
@@ -270,6 +262,10 @@ def _fmt(x) -> str:
     if x is None:
         return "nan"
     return f"{x:.6f}"
+
+
+def _stop_state(report: IterationReport) -> str:
+    return f"{'converged' if report.converged else 'stopped'} after {report.iterations} iterations"
 
 
 def write_report_csv(
@@ -380,8 +376,7 @@ def _cmd_refine(args) -> int:
     for view, m in zip(VIEWS, our):
         write_pgm(outdir / f"our_{view}.pgm", m, deep=args.pgm16)
     write_report_csv(outdir / "report.csv", report)
-    state = "converged" if report.converged else "stopped"
-    print(f"{state} after {report.iterations} iterations -> {outdir}")
+    print(f"{_stop_state(report)} -> {outdir}")
     return 0
 
 
@@ -411,11 +406,7 @@ def _cmd_run(args) -> int:
     result = run_protocol(
         resolve_inputs(config), config.table, config.options, args.outdir, deep=args.pgm16
     )
-    print(
-        f"{result.scores()} "
-        f"({'converged' if result.report.converged else 'stopped'} after "
-        f"{result.report.iterations} iterations)"
-    )
+    print(f"{result.scores()} ({_stop_state(result.report)})")
     return 0
 
 
@@ -474,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="standard centroid decode of a QDM1 file")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--pgm16", action="store_true")
+    p.add_argument("--pgm16", action="store_true", help="write 16-bit deep PGMs")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("refine", parents=[base], help="refine two QDM1 descriptions jointly")

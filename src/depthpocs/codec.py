@@ -70,7 +70,9 @@ class BinConstraints(NamedTuple):
 
 
 # Least step flat_table accepts. Orthonormality bounds every coefficient of
-# a map in [0, 256) by 8 * 256 = 2048, so its bin indices then fit int32.
+# a map in [0, 256) by 8 * 256 = 2048, so its bin indices are at most 2**31:
+# rounding half away from zero, a block whose mean is within 2**-24 of 256
+# still reaches 2**31, which quantize rejects as past int32.
 _MIN_STEP = 2.0**-20
 
 
@@ -303,12 +305,15 @@ class QuantizedDescription:
 
 
 def encode_map(map_, table) -> QuantizedDescription:
-    """Pad, block, transform and quantize a depth map."""
+    """Pad, block, transform and quantize a depth map with samples in [0, 256)."""
     m = as_map(map_)
     if m.size == 0:
         raise InvalidInputError("cannot encode an empty map")
+    lo, hi = float(m.min()), float(m.max())
+    if not (0.0 <= lo and hi < 256.0):
+        raise InvalidInputError(f"map samples span [{lo:.6g}, {hi:.6g}], outside [0, 256)")
     t = _check_table(table)
-    # quantize reports a non-finite coefficient or a bin index past int32, with no numpy warning.
+    # quantize reports a bin index past int32, even an infinite one, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         indices = quantize(dct_blocks(split_blocks(pad_to_blocks(m))), t)
     return QuantizedDescription(

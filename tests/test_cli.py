@@ -192,8 +192,23 @@ class TestLoadConfig:
             "[quant]\ndelta = 16\n"
         )
         cfg = load_config(p)
-        assert cfg.cameras is not None
-        assert cfg.cameras.right.t[0] - cfg.cameras.left.t[0] == 4.0
+        k = np.array([[100.0, 0.0, 7.5], [0.0, 100.0, 7.5], [0.0, 0.0, 1.0]])
+        for shape in ((16, 16), (30, 40)):  # the one pair the matrices give, for any shape
+            rig = rig_arrays(cfg.camera_pair(shape))
+            assert np.array_equal(rig[:, :, :3], [k, k])
+            assert np.array_equal(rig[1, :, 6] - rig[0, :, 6], [4.0, 0.0, 0.0])
+
+    def test_camera_section_rig_follows_shape(self, small_cfg):
+        # No cx or cy: the principal point is the centre of the map it is asked for.
+        for shape in ((64, 64), (30, 41)):
+            rig = rig_arrays(load_config(small_cfg).camera_pair(shape))
+            centre = [(shape[1] - 1) / 2.0, (shape[0] - 1) / 2.0]
+            assert np.array_equal(rig[:, :2, 2], [centre, centre])
+
+
+def rig_arrays(pair):
+    """[K | E] of the left and of the right view of a RectifiedPair, shape (2, 3, 7)."""
+    return np.stack([np.hstack([cam.k, cam.e]) for cam in (pair.left, pair.right)])
 
 
 IMPORT_CONFIG = "[inputs]\nleft = l.pgm\nright = r.pgm\ncamera_file = cams.ini\n"
@@ -272,10 +287,15 @@ class TestStrictReader:
             ("e = 1 0 0 4", "focal = 100\ne = 1 0 0 4", "'focal'"),
             ("[camera.right]", "[camera.rigth]", "[camera.rigth]"),
             ("[camera.right]", "[camera]\nfocal = 1\nbaseline = 1\n\n[camera.right]", "[camera]"),
+            # Import mode renders no scene, so a primitive would be silently ignored.
+            ("camera_file = cams.ini", "camera_file = cams.ini\n[primitive.ghost]\ntype = box\n"
+             "x0 = 0\nx1 = 4\ny0 = 0\ny1 = 4\ndepth = 50", "[primitive.ghost]"),
+            ("k = 100 0 7.5  0 100 7.5  0 0 1", "k = 100 0 7.5  0 100 7.5  0 0", "[camera.left] k"),
+            ("e = 1 0 0 0  0 1 0 0  0 0 1 0", "e = 1 0 0 0  0 1 0 0  0 0 1 0 0", "[camera.left] e"),
         ],
         ids=[
             "empty-left", "nul-in-path", "inputs-key", "camera-file-key", "camera-file-section",
-            "camera-file-simple-camera",
+            "camera-file-simple-camera", "primitive", "k-8-numbers", "e-13-numbers",
         ],
     )
     def test_import_mode_rejects(self, tmp_path, capsys, old, new, named):
@@ -331,7 +351,9 @@ class TestReadmeConfig:
         (tmp_path / "scene.ini").write_text("".join(sections.values()))
         cfg = load_config(tmp_path / "scene.ini")
         assert (cfg.scene.width, cfg.scene.height, cfg.scene.seed) == (256, 256, 7)
-        assert cfg.camera == {"focal": 120.0, "baseline": 12.0, "cx": 127.5, "cy": 127.5}
+        for shape in ((256, 256), (100, 60)):  # cx and cy are given, so no shape moves them
+            want = stereo_pair(shape, focal=120.0, baseline=12.0, cx=127.5, cy=127.5)
+            assert np.array_equal(rig_arrays(cfg.camera_pair(shape)), rig_arrays(want))
         assert [type(p).__name__ for p in cfg.scene.primitives] == ["Plane", "Box"]
 
     def test_import_mode_part_loads(self, tmp_path):
@@ -344,7 +366,7 @@ class TestReadmeConfig:
         (tmp_path / "import.ini").write_text("".join(sections.values()))
         cfg = load_config(tmp_path / "import.ini")
         assert cfg.inputs == (tmp_path / "left.pgm", tmp_path / "right.pgm")
-        assert cfg.cameras.right.t[0] == 12.0
+        assert np.array_equal(rig_arrays(cfg.camera_pair((256, 256)))[:, 0, 6], [0.0, 12.0])
         assert np.all(cfg.table == 24.0) and cfg.options == cli.RefineOptions()
 
     def test_documents_every_key(self):
@@ -805,6 +827,37 @@ class TestPieceWiseVerbs:
             "-o", str(out),
         ]) == 0
         assert (out / "our_right.pgm").is_file()
+
+
+# eps = 0 runs small_cfg's max_iters = 3; no mean change reaches 1e6, so the
+# first iteration converges.
+STOP_STATES = pytest.mark.parametrize(
+    "eps, state",
+    [("0", "stopped after 3 iterations"), ("1e6", "converged after 1 iterations")],
+    ids=["stopped", "converged"],
+)
+
+
+class TestStopStateLine:
+    """run and refine print how the iteration ended, word for word."""
+
+    @STOP_STATES
+    def test_run(self, tmp_path, capsys, eps, state):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(SMALL_SCENE.replace("eps = 0.01", f"eps = {eps}"))
+        assert main(["run", str(cfg), "-o", str(tmp_path / "out")]) == 0
+        _, rows = read_csv_rows(tmp_path / "out" / "report.csv")
+        scores = "Q_std={} Q_smo={} Q_our={}".format(*rows[-1][2:5])
+        assert capsys.readouterr().out == f"{scores} ({state})\n"
+
+    @STOP_STATES
+    def test_refine(self, coded, tmp_path, capsys, eps, state):
+        cfg, out = tmp_path / "c.ini", tmp_path / "ref"
+        cfg.write_text(SMALL_SCENE.replace("eps = 0.01", f"eps = {eps}"))
+        capsys.readouterr()
+        assert main(["refine", str(cfg), "--left-desc", str(coded["left"]),
+                     "--right-desc", str(coded["right"]), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"{state} -> {out}\n"
 
 
 class TestSweep:

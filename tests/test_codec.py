@@ -296,17 +296,32 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize(
         "value, step, message",
-        [(1e308, 24.0, "non-finite"), (100.0, 1e-320, "does not fit int32")],
+        [(1e308, 24.0, r"outside \[0, 256\)"), (100.0, 1e-320, "does not fit int32")],
         ids=["transform-overflows", "index-overflows"],
     )
     def test_overflow_rejected_without_warning(self, value, step, message):
-        # The transform of 1e308 samples overflows; 100 over a 1e-320 step is
-        # an infinite index. quantize's check is the one report, with no
-        # numpy warning before it.
+        # The transform of 1e308 samples would overflow, but the range check
+        # stops them first; 100 over a 1e-320 step is an infinite index,
+        # which quantize reports. Each is the one report, with no numpy
+        # warning before it.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidInputError, match=message):
                 codec.encode_map(np.full((8, 8), value), np.full((8, 8), step))
+
+    @pytest.mark.parametrize(
+        "value, step",
+        [(-200.0, 24.0), (256.0, 2.0**-20), (400.0, 24.0), (1000.0, 24.0)],
+        ids=["-200", "256-at-2**-20", "400", "1000"],
+    )
+    def test_sample_outside_0_256_rejected_without_warning(self, value, step):
+        # 400 at step 24 would code a description that decode_map rejects;
+        # 256 at step 2**-20 would give a DC index of 2**31.
+        m = np.full((8, 8), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"outside \[0, 256\)"):
+                codec.encode_map(m, codec.flat_table(step))
 
     def test_decode_of_zero_map(self):
         desc = codec.encode_map(np.zeros((16, 16)), codec.flat_table(8.0))
@@ -396,6 +411,23 @@ def _structured_descriptions(draw):
     return desc, bool(edits)
 
 
+@st.composite
+def _maps_and_tables(draw):
+    """A map in [0, 256), half its samples at 0 or 256 - 2**-20, and a flat
+    table of step 2**-20 to 1e6 or a JPEG table."""
+    h, w = draw(st.integers(1, 39)), draw(st.integers(1, 39))
+    if draw(st.booleans()):
+        table = codec.flat_table(draw(st.floats(2.0**-20, 1e6)))
+    else:
+        table = codec.jpeg_table(draw(st.integers(1, 100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.0, 256.0, (h, w))
+    ends = rng.random((h, w))
+    m[ends < 0.2] = 0.0
+    m[ends > 0.7] = 256.0 - 2.0**-20
+    return m, table
+
+
 class TestDecodeRange:
     """decode_map rejects a description whose padded centroid decode leaves
     [-4 * delta_max, 256 + 4 * delta_max] or is not finite."""
@@ -436,6 +468,13 @@ class TestDecodeRange:
             return
         assert decoded.shape == desc.shape
         assert np.all((decoded >= 0.0) & (decoded <= 65535 / 256))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_maps_and_tables())
+    def test_every_encoded_map_decodes(self, case):
+        # Every description encode_map returns, decode_map admits.
+        m, table = case
+        assert decode_warning_free(codec.encode_map(m, table)).shape == m.shape
 
 
 class TestQdmContainer:
