@@ -307,28 +307,34 @@ class RunResult:
 def run_protocol(
     inputs: GeneratedScene, table, opts: RefineOptions, outdir, *, deep: bool = False
 ) -> RunResult:
-    """Code, decode, smooth and refine the truth pair; write every artifact."""
+    """Code, decode, smooth and refine the truth pair; write every artifact.
+
+    The std and smo pairs are written and scored as soon as they exist and
+    dropped before refine, so refine's memory does not stack on theirs.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_truth(outdir, inputs, deep)
     truth = (inputs.left, inputs.right)
 
+    def write(tag: str, pair) -> QualityScore:
+        for view, m, t in zip(VIEWS, pair, truth):
+            write_pgm(outdir / f"{tag}_{view}.pgm", m, deep=deep)
+            write_pgm(outdir / f"err_{tag}_{view}.pgm", error_map(m, t), deep=deep)
+        return quality_g(*pair, *truth, round_to_int=True)
+
     descs = [encode_map(t, table) for t in truth]
     for view, desc in zip(VIEWS, descs):
         desc.save(outdir / f"{view}.qdm")
     std = [decode_map(desc) for desc in descs]
+    q_std = write("std", std)
     smo = [bilateral_filter(m, opts.sigma_s, opts.sigma_r, opts.radius) for m in std]
+    del std
+    q_smo = write("smo", smo)
+    del smo
     cams = inputs.cameras
     *our, report = refine(descs[0], descs[1], cams.left, cams.right, opts, truth)
-
-    maps = {"std": std, "smo": smo, "our": our}
-    for tag, pair in maps.items():
-        for view, m, t in zip(VIEWS, pair, truth):
-            write_pgm(outdir / f"{tag}_{view}.pgm", m, deep=deep)
-            write_pgm(outdir / f"err_{tag}_{view}.pgm", error_map(m, t), deep=deep)
-    q_std, q_smo, q_our = (
-        quality_g(*pair, *truth, round_to_int=True) for pair in maps.values()
-    )
+    q_our = write("our", our)
     write_report_csv(outdir / "report.csv", report, (q_std, q_smo, q_our))
     return RunResult(q_std, q_smo, q_our, report)
 

@@ -22,11 +22,19 @@ With one CPU, on a platform that cannot fork, or where a pipe or the
 child cannot be had, the views render one after the other here. Either
 way each view runs the same operations on the same arrays, so the maps
 and masks are the same, byte for byte.
+
+The ripple draws its parameters from a private pure-Python PCG64 that
+reproduces numpy's default_rng(seed).uniform exactly, so the maps are
+unchanged, without importing numpy.random: that import maps OpenSSL's
+libcrypto and cost a run about 6 MiB of resident memory.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import permutations, product
 
 import numpy as np
 
@@ -83,17 +91,56 @@ class GeneratedScene:
     cameras: RectifiedPair
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_doubles(seed: int) -> Iterator[float]:
+    """The doubles of numpy's default_rng(seed).random(): PCG64 seeded by SeedSequence."""
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(dst: int, value: int) -> None:
+        value = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(value)) & _MASK32
+        pool[dst] = value ^ value >> 16
+
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in permutations(range(4), 2):
+        mix(dst, pool[src])
+    for word, dst in product(words[4:], range(4)):
+        mix(dst, word)
+    const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64)
+    half = [hashmix(pool[i % 4]) for i in range(8)]
+    w = [half[i] | half[i + 1] << 32 for i in (0, 2, 4, 6)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128  # pcg64_set_seed(w[:2], w[2:])
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        low, rot = (state >> 64 ^ state) & _MASK64, state >> 122  # XSL-RR output
+        yield (((low >> rot | low << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
+
+
 class _Ripple:
-    """Smooth deterministic perturbation field built from seeded sinusoids."""
+    """Smooth deterministic perturbation field built from seeded sinusoids.
+
+    Its 15 parameters equal numpy's default_rng(seed).uniform draws bit for
+    bit, lo + (hi - lo) * u on _pcg64_doubles, so numpy.random is not needed.
+    """
 
     def __init__(self, seed: int, amp: float):
-        rng = np.random.default_rng(seed)
+        doubles = _pcg64_doubles(operator.index(seed))
         self.amp = amp
-        self.kx = rng.uniform(0.03, 0.10, _RIPPLE_WAVES)
-        self.ky = rng.uniform(0.03, 0.10, _RIPPLE_WAVES)
-        self.px = rng.uniform(0.0, 2.0 * np.pi, _RIPPLE_WAVES)
-        self.py = rng.uniform(0.0, 2.0 * np.pi, _RIPPLE_WAVES)
-        w = rng.uniform(0.5, 1.0, _RIPPLE_WAVES)
+        self.kx, self.ky, self.px, self.py, w = (
+            np.array([lo + (hi - lo) * next(doubles) for _ in range(_RIPPLE_WAVES)])
+            for lo, hi in [(0.03, 0.10)] * 2 + [(0.0, 2.0 * np.pi)] * 2 + [(0.5, 1.0)]
+        )
         self.w = w / np.sum(w)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -224,8 +271,12 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     """
     if spec.width < 1 or spec.height < 1:
         raise InvalidSceneError("scene dimensions must be positive")
-    if spec.seed < 0:
-        raise InvalidSceneError(f"scene seed must be >= 0, got {spec.seed}")
+    try:  # an int or a numpy integer; the ripple's draw needs one
+        seed = -1 if isinstance(spec.seed, bool) else operator.index(spec.seed)
+    except TypeError:
+        seed = -1
+    if seed < 0:
+        raise InvalidSceneError(f"scene seed must be an integer >= 0, got {spec.seed!r}")
     if not np.isfinite(spec.noise_amp):
         raise InvalidSceneError(f"noise_amp must be finite, got {spec.noise_amp}")
     # First, so that a camera that is not finite fails before rendering.

@@ -3,6 +3,7 @@ CSV schema, determinism, exit codes, and the names the benchmark wraps."""
 
 import configparser
 import errno
+import gc
 import importlib.util
 import inspect
 import math
@@ -10,8 +11,10 @@ import os
 import re
 import shutil
 import signal
+import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -858,6 +861,62 @@ class TestStopStateLine:
         assert main(["refine", str(cfg), "--left-desc", str(coded["left"]),
                      "--right-desc", str(coded["right"]), "-o", str(out)]) == 0
         assert capsys.readouterr().out == f"{state} -> {out}\n"
+
+
+# Runs in a fresh interpreter: prints the modules of numpy.random, and
+# _hashlib, that generate, run and sweep of a rippled scene import beyond
+# what `import numpy, depthpocs.cli` loads.
+FOOTPRINT_SCRIPT = """
+import sys
+import numpy, depthpocs.cli
+before = set(sys.modules)
+cfg, out = sys.argv[1:]
+for argv in (["generate", cfg, "-o", out + "/gen"], ["run", cfg, "-o", out + "/run"],
+             ["sweep", cfg, "--deltas", "16,24", "-o", out + "/sweep"]):
+    assert depthpocs.cli.main(argv) == 0, argv
+print(sorted(m for m in set(sys.modules) - before
+             if m == "_hashlib" or m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+class TestFootprint:
+    def test_scene_commands_import_no_numpy_random(self, small_cfg, tmp_path):
+        # numpy.random's import maps OpenSSL's libcrypto through _hashlib.
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(small_cfg), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_baseline_maps_are_freed_before_refine(self, small_cfg, tmp_path, monkeypatch):
+        refs = {"std": [], "smo": []}
+
+        def keep_refs(name, tag):
+            made = getattr(cli, name)
+
+            def wrapped(*args, **kwargs):
+                out = made(*args, **kwargs)
+                refs[tag].append(weakref.ref(out))
+                return out
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        keep_refs("decode_map", "std")
+        keep_refs("bilateral_filter", "smo")
+        alive, real_refine = [], cli.refine
+
+        def refine(*args, **kwargs):
+            gc.collect()
+            alive.append([tag for tag in refs for ref in refs[tag] if ref() is not None])
+            return real_refine(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "refine", refine)
+        assert main(["run", str(small_cfg), "-o", str(tmp_path / "out")]) == 0
+        assert [len(refs["std"]), len(refs["smo"])] == [2, 2]
+        assert alive == [[]]
 
 
 class TestSweep:

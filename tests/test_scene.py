@@ -109,8 +109,17 @@ class TestRendering:
             generate_scene(spec_with([Plane(0.0, 0.0, 300.0, ripple=False)]))
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidSceneError, match="seed"):
-            generate_scene(demo_scene(seed=-1))
+        # A seed that is not an integer fails as a bad scene, not in the draw.
+        for seed in (-1, 7.5, "7", True):
+            with pytest.raises(InvalidSceneError, match="seed"):
+                generate_scene(demo_scene(seed=seed))
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = spec_with([Plane(0.1, 0.0, 120.0)], noise_amp=1.5, seed=9)
+        want = generate_scene(spec)
+        spec.seed = np.int64(9)
+        got = generate_scene(spec)
+        assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
 
     def test_needs_primitives(self):
         with pytest.raises(InvalidSceneError):
@@ -379,7 +388,36 @@ class TestCulledRender:
         assert_render_equals_full_grid(spec, ripple)
 
 
+def default_rng_ripple(seed):
+    """The ripple's parameters as numpy's generator draws them: the oracle."""
+    rng = np.random.default_rng(seed)
+    kx = rng.uniform(0.03, 0.10, scene._RIPPLE_WAVES)
+    ky = rng.uniform(0.03, 0.10, scene._RIPPLE_WAVES)
+    px = rng.uniform(0.0, 2.0 * np.pi, scene._RIPPLE_WAVES)
+    py = rng.uniform(0.0, 2.0 * np.pi, scene._RIPPLE_WAVES)
+    w = rng.uniform(0.5, 1.0, scene._RIPPLE_WAVES)
+    return kx, ky, px, py, w / np.sum(w)
+
+
 class TestRipple:
+    # Entropy of one to nineteen 32-bit words; the examples sit on the
+    # boundaries of one, two, four (SeedSequence's pool) and five words.
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**600))
+    @example(seed=0)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**64)
+    @example(seed=2**128 - 1)
+    @example(seed=2**128)
+    @example(seed=2**128 + 1)
+    @example(seed=np.int64(2**63 - 25))
+    def test_draws_equal_default_rng(self, seed):
+        ripple = scene._Ripple(seed, 1.5)
+        got = (ripple.kx, ripple.ky, ripple.px, ripple.py, ripple.w)
+        for name, mine, want in zip(("kx", "ky", "px", "py", "w"), got, default_rng_ripple(seed)):
+            assert mine.dtype == want.dtype and np.array_equal(mine, want), name
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
