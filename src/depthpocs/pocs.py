@@ -116,10 +116,11 @@ class IterationReport:
 # Least work refine gives a stripe, in pixel-iterations: rows x columns x
 # max_iters. Forking and reaping the worker, and its first half-iteration,
 # cost about 11 ms per refine on 2 vCPUs; a stripe saves part of every
-# half-iteration. Two stripes against one, 10 iterations, radius 3: 256x64
-# maps took 1.2-1.3 times as long, 256x96 1.0-1.4 times, 256x128 0.64-0.66
-# times and 501x64 0.66 times. A sweep of eight one-iteration refines of
-# 256x256 maps, radius 0 (65,536 pixel-iterations each), ran 9.5% slower.
+# half-iteration. Two stripes against one, 10 iterations, radius 3 (median
+# of 15 pairs): 256x64 maps took 0.86-0.87 times as long, 256x96 0.82-0.83,
+# 256x128 0.71-0.85 and 501x64 0.75-0.87, but 256x64 up to 1.29 and 256x96
+# up to 1.14 on a loaded machine. A one-iteration refine of a 256x256 map at
+# radius 0 (65,536 pixel-iterations, a sweep preview) took 1.3 times as long.
 _MIN_STRIPE_WORK = 1 << 17
 
 

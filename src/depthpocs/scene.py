@@ -31,6 +31,7 @@ libcrypto and cost a run about 6 MiB of resident memory.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -267,19 +268,29 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
 
     The two maps are geometrically consistent: warping the left truth with
     the true cameras reproduces the right truth on masked pixels (up to
-    interpolation error on curved surfaces).
+    interpolation error on curved surfaces). A field of the wrong type or
+    value raises InvalidSceneError before anything is rendered.
     """
-    if spec.width < 1 or spec.height < 1:
-        raise InvalidSceneError("scene dimensions must be positive")
-    try:  # an int or a numpy integer; the ripple's draw needs one
-        seed = -1 if isinstance(spec.seed, bool) else operator.index(spec.seed)
-    except TypeError:
-        seed = -1
-    if seed < 0:
-        raise InvalidSceneError(f"scene seed must be an integer >= 0, got {spec.seed!r}")
-    if not np.isfinite(spec.noise_amp):
-        raise InvalidSceneError(f"noise_amp must be finite, got {spec.noise_amp}")
-    # First, so that a camera that is not finite fails before rendering.
+    # Sizes and the seed are ints or numpy integers, not bools; the other
+    # numbers are finite reals, and cx or cy may be None, the image centre.
+    for name, least, rule in (("width", 1, "positive"), ("height", 1, "positive"),
+                              ("seed", 0, ">= 0")):
+        value = getattr(spec, name)
+        try:
+            ok = not isinstance(value, bool) and operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidSceneError(f"scene {name} must be {rule} (an integer), got {value!r}")
+    for name in ("noise_amp", "focal", "baseline", "cx", "cy"):
+        value = getattr(spec, name)
+        try:  # an int past the float range overflows
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = value is None and name in ("cx", "cy")
+        if not ok:
+            raise InvalidSceneError(f"{name} must be finite (a real number), got {value!r}")
+    # First, so that a focal length that is not positive fails before rendering.
     cameras = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
     cams = (cameras.left, cameras.right)
     ripple = _Ripple(spec.seed, spec.noise_amp) if spec.noise_amp else None

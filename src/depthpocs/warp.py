@@ -8,9 +8,10 @@ pixel, one picked from each side, and bilateral_filter cleans up the result.
 
 bilateral_filter runs each window offset on contiguous slices of a flat
 float32 copy of the rows it reads, each padded with radius zero columns on
-either side. A pair with a pad pixel weighs exactly +0, which changes no
-bit. Its terms and sums are float32; the warp, the interpolation and the
-final sum with the map are float64.
+either side, and adds each pair's term to both of its pixels at once. A
+pair with a pad pixel weighs exactly +0, which changes no bit. Its terms
+and sums are float32; the warp, the interpolation and the final sum with
+the map are float64.
 
 For a rectified pair the composition of back-projection and re-projection
 collapses to a pure column shift of fx * baseline / s per pixel, where s
@@ -39,11 +40,11 @@ import numpy as np
 from .geometry import CameraParams, projective_scale_grid
 
 # Padded pixels the bilateral filter finishes at a time (see
-# bilateral_filter), in whole rows. The float32 terms a band stores for the
-# mirror offsets take 8 bytes per padded pixel and offset, about 1.6 MiB at
-# radius 3: within a core's L2 cache. Twice as many pixels ran faster on a
-# 501-column map, but raised a run's peak memory by 3 MiB.
-_BAND_PIXELS = 8192
+# bilateral_filter), in whole rows. A band's float32 buffers take 16 bytes
+# per padded pixel whatever the radius, about 0.5 MiB: within a core's L2
+# cache. On a 373x501 map at radius 3, 8,192 pixels took 1.4 times as long,
+# and 65,536 saved up to 12% more for twice the memory (2 vCPUs).
+_BAND_PIXELS = 32768
 
 
 def forward_warp(src, src_cam: CameraParams, dst_cam: CameraParams, row0: int = 0) -> np.ndarray:
@@ -141,7 +142,7 @@ def _interpolate_grid(cols, src, current: np.ndarray, tau: float) -> np.ndarray:
     n = h * w
     flat_current = current.ravel()
     # Made before the temporaries below, so that they free one stretch of the
-    # heap, large enough for the filter's buffer of band terms.
+    # heap, large enough for the filter's buffers.
     out = flat_current.copy()
     picked = []
     for side in (np.ceil, np.floor):
@@ -198,21 +199,22 @@ def bilateral_filter(
 
     Offsets o and -o give a pixel pair the same weight, and weighted
     deviations that are exact negatives of each other. The output is made
-    in bands of rows: for each offset before the center, weights and
-    weighted deviations are computed once over the band plus |dy| rows
-    below it, and the mirror offset reuses them at the shifted pixels.
-    Every pixel still sums its terms in window order, so the result is the
-    same, bit for bit, as evaluating each offset on its own in the same
-    float32 arithmetic.
+    in bands of rows. Each offset o before the center, in window order, is
+    weighed once over the band plus |dy| rows below it, and each pair's
+    term goes at once to both of its pixels: p as offset o, then p + o as
+    offset -o. So every pixel sums its terms in pair order, the center and
+    then each offset before it followed by its mirror, whatever the band
+    or rows: bit for bit as each offset evaluated on its own in that order
+    in the same float32 arithmetic.
 
     The rows read are copied into one flat buffer, each with radius zero
     columns on either side, so that every step works on contiguous slices:
     with row stride W = w + 2 radius, neighbor (dy, dx) of flat index i is
     i + dy W + dx. A pair with a pad pixel gets weight +0 from a per-offset
-    row of spatial weights, so it adds +0 and d * +0 = +-0 to the sums.
-    They start at +0.0, so none becomes -0.0, and x + +-0 is x for every
-    other x: the pad changes no bit. A deviation of 0 is 0 in float32 too,
-    so flat regions stay exactly flat.
+    row of spatial weights, so it adds +0 and +-(d * +0) = +-0 to the sums.
+    The deviations' sum starts at +0.0, so it never becomes -0.0, and
+    x + +-0 and x - +-0 are x for every other x: the pad changes no bit. A
+    deviation of 0 is 0 in float32 too, so flat regions stay exactly flat.
     """
     h, w = map_.shape
     # Offsets of max(h, w) or more pair no pixels and add +0, at a cost cubic in r.
@@ -222,8 +224,8 @@ def bilateral_filter(
         return map_[a:b].copy()
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     inv2sr = 1.0 / (2.0 * sigma_r * sigma_r)
-    # Offsets before the center in window order; (-dy, -dx) follow it in
-    # reverse order.
+    # Offsets before the center in window order; each stands for its
+    # mirror (-dy, -dx) too.
     firsts = [(dy, dx) for dy in range(-r, 1) for dx in range(-r, r + 1) if dy < 0 or dx < 0]
     # Per offset, its spatial exponent's magnitude, at most 80, and the
     # floor of its range exponent: together never below -80.
@@ -246,10 +248,10 @@ def bilateral_filter(
     inside = flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w]
     np.clip(map_[s0:s1], -1e18, 1e18, out=inside)
     band = max(1, min(b - a, _BAND_PIXELS // W))
-    # One buffer holds a band's stored terms, each as a contiguous array.
-    store = np.empty((len(firsts), 2, (band + r) * W), np.float32)
+    # One offset's weights and weighted deviations over a band plus r rows.
+    wgt_buf, term_buf = np.empty((2, (band + r) * W), np.float32)
     # A band's sums, laid out as flat, with r slack elements at either end.
-    num, den = sums = np.empty((2, band * W + 2 * r), np.float32)
+    num, den = np.empty((2, band * W + 2 * r), np.float32)
     out = np.empty((b - a, w))
     # Accumulating weighted deviations from the center (instead of
     # weighted values) keeps flat regions exactly unchanged in floating
@@ -257,19 +259,21 @@ def bilateral_filter(
     for b0 in range(a, b, band):
         b1 = min(b, b0 + band)
         bn = (b1 - b0) * W
-        sums.fill(0.0)
-        shared = []
+        # The center offset first: weight exp(0) = 1, weighted deviation +0.0.
+        num.fill(0.0)
+        den.fill(1.0)
         # d * d * inv2sr past the float32 range is -inf, which the floor lifts.
         with np.errstate(over="ignore"):
             for k, (dy, dx) in enumerate(firsts):
-                # Rows whose neighbor row y + dy was copied: the band's rows
-                # and the |dy| rows below it that the mirror offset reads.
+                # Pixels p whose neighbor p + (dy, dx) was copied: the
+                # band's rows, and the |dy| rows below it, whose neighbors
+                # are in the band.
                 y0, y1 = max(b0, s0 - dy), min(s1, b1 - dy)
                 if y0 >= y1:
                     continue
                 n, i = (y1 - y0) * W, r + (y0 - s0) * W
                 j = i + dy * W + dx
-                wgt, term = store[k, 0, :n], store[k, 1, :n]
+                wgt, term = wgt_buf[:n], term_buf[:n]
                 np.subtract(flat[j : j + n], flat[i : i + n], out=term)
                 np.multiply(term, term, out=wgt)
                 wgt *= scale
@@ -277,22 +281,19 @@ def bilateral_filter(
                 np.exp(wgt, out=wgt)
                 np.multiply(wgt.reshape(-1, W), spatial[k], out=wgt.reshape(-1, W))
                 term *= wgt
+                # Offset (dy, dx) at the pixels p in the band ...
                 own, i = max(0, min(y1, b1) - y0) * W, r + (y0 - b0) * W
                 num[i : i + own] += term[:own]
                 den[i : i + own] += wgt[:own]
-                shared.append((dy, dx, y0, y1, wgt, term))
-        # The center offset: weight exp(0) = 1, weighted deviation +0.0.
-        den[r : r + bn] += 1.0
-        for dy, dx, y0, y1, wgt, term in reversed(shared):
-            # Mirror offset (-dy, -dx) at pixel q = p + (dy, dx): weight
-            # wgt[p], weighted deviation -term[p].
-            p0, p1 = max(y0, b0 - dy), min(y1, b1 - dy)
-            if p0 >= p1:
-                continue
-            n, i = (p1 - p0) * W, (p0 - y0) * W
-            q = r + (p0 + dy - b0) * W + dx
-            num[q : q + n] -= term[i : i + n]
-            den[q : q + n] += wgt[i : i + n]
+                # ... then its mirror at q = p + (dy, dx): weight wgt[p],
+                # weighted deviation -term[p].
+                p0 = max(y0, b0 - dy)
+                if p0 >= y1:
+                    continue
+                n, i = (y1 - p0) * W, (p0 - y0) * W
+                q = r + (p0 + dy - b0) * W + dx
+                num[q : q + n] -= term[i : i + n]
+                den[q : q + n] += wgt[i : i + n]
         ratio = num[r : r + bn]
         np.divide(ratio, den[r : r + bn], out=ratio)
         np.add(map_[b0:b1], ratio.reshape(b1 - b0, W)[:, r : r + w], out=out[b0 - a : b1 - a])

@@ -121,6 +121,51 @@ class TestRendering:
         got = generate_scene(spec)
         assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("width", 64.5),  # np.arange(64.5) would render 65 columns
+            ("width", True),
+            ("width", "64"),
+            ("width", 0),
+            ("height", 64.5),
+            ("height", False),
+            ("height", None),
+            ("noise_amp", "1.5"),
+            ("noise_amp", True),
+            ("noise_amp", None),
+            ("focal", "120"),
+            ("focal", math.nan),
+            ("focal", 10**400),
+            ("baseline", "12"),
+            ("baseline", -math.inf),
+            ("baseline", None),
+            ("cx", "31.5"),
+            ("cx", math.inf),
+            ("cy", 1 + 0j),
+            ("cy", math.nan),
+        ],
+    )
+    def test_bad_field_rejected_before_rendering(self, monkeypatch, name, value):
+        # Sizes are integers >= 1, not bools; the others are finite real
+        # numbers. Each is checked where it enters, before any view renders.
+        rendered = []
+        monkeypatch.setattr(scene, "_render_view", lambda *args: rendered.append(args))
+        spec = demo_scene(64, 64)
+        setattr(spec, name, value)
+        with pytest.raises(InvalidSceneError, match=name) as got:
+            generate_scene(spec)
+        assert got.value.exit_code == 2
+        assert not rendered
+
+    def test_numpy_numbers_accepted(self):
+        want = generate_scene(demo_scene(64, 48))
+        spec = demo_scene(np.int64(64), np.int32(48))
+        spec.focal, spec.baseline, spec.noise_amp = np.float64(120.0), np.int64(12), np.float32(1.5)
+        spec.cx, spec.cy = np.float64(31.5), np.int16(23) + 0.5
+        got = generate_scene(spec)
+        assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
+
     def test_needs_primitives(self):
         with pytest.raises(InvalidSceneError):
             generate_scene(spec_with([]))

@@ -4,6 +4,7 @@ warp_oracle), and the bilateral filter against a hand-evaluated oracle and
 bit for bit against the per-offset reference."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,6 +357,41 @@ class TestBilateral:
         m = np.random.default_rng(83 + h).uniform(0.0, 255.0, (h, 23))
         out = bilateral_filter(m, 2.0, 10.0, 3)
         assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, 3))
+
+    @pytest.mark.parametrize(
+        "band_pixels", [1, warp._BAND_PIXELS, 10**9], ids=["row", "default", "map"]
+    )
+    def test_any_band_gives_the_same_bits(self, monkeypatch, band_pixels):
+        # One-row bands, the default and one band spanning the whole map, on
+        # a map of two default bands of 61 + 2 * 3 padded columns and a row.
+        # Every pixel sums in pair order whatever its band, so each equals
+        # the oracle, and any run of output rows equals the whole map's rows.
+        k = warp._BAND_PIXELS // 67
+        monkeypatch.setattr(warp, "_BAND_PIXELS", band_pixels)
+        h = 2 * k + 1
+        m = np.random.default_rng(131).uniform(0.0, 255.0, (h, 61))
+        out = bilateral_filter(m, 2.0, 10.0, 3)
+        assert_same_bits(out, bilateral_reference(m, 2.0, 10.0, 3))
+        for a, b in [(0, 1), (0, k), (k - 3, k + 3), (k - 1, k + 1), (k, 2 * k), (h - 1, h)]:
+            assert_same_bits(bilateral_filter(m, 2.0, 10.0, 3, (a, b)), out[a:b])
+
+    def test_wide_map_traces_under_3_5_mib(self):
+        # The float64 output takes 1.4 MiB, the float32 copy of the rows
+        # read 0.7 MiB, and one offset's terms with a band's sums 0.5 MiB.
+        # A buffer of every offset's terms for a band would not fit.
+        m = np.random.default_rng(132).uniform(0.0, 255.0, (373, 501))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bilateral_filter(m, 2.0, 10.0, 3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
     # Widths 1, at most the radius, 2 radius + 1, and two wider ones.
     @pytest.mark.parametrize("w", [1, 2, 7, 23, 61])

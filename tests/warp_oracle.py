@@ -112,11 +112,15 @@ def interpolate_reference(cols, src, current: np.ndarray, tau: float) -> np.ndar
 
 
 def bilateral_reference(m: np.ndarray, sigma_s: float, sigma_r: float, radius: int) -> np.ndarray:
-    """The bilateral filter one window offset at a time, in window order.
+    """The bilateral filter one window offset at a time, in pair order.
 
-    The terms and sums are float32, from the map clipped to +-1e18. The
-    spatial exponent's magnitude is capped at 80, and the range exponent is
-    floored at that cap minus 80. Only the final m + num / den is float64.
+    Pair order is the center (0, 0) first, then each offset before the
+    center in window order, each followed at once by its mirror. Every
+    pixel sums its terms in that order, as depthpocs.warp.bilateral_filter
+    does, so the two agree bit for bit. The terms and sums are float32,
+    from the map clipped to +-1e18. The spatial exponent's magnitude is
+    capped at 80, and the range exponent is floored at that cap minus 80.
+    Only the final m + num / den is float64.
     """
     h, w = m.shape
     f = np.clip(m, -1e18, 1e18).astype(np.float32)
@@ -126,19 +130,21 @@ def bilateral_reference(m: np.ndarray, sigma_s: float, sigma_r: float, radius: i
     den = np.zeros_like(f)
     inv2ss = 1.0 / (2.0 * sigma_s * sigma_s)
     scale = np.float32(-min(1.0 / (2.0 * sigma_r * sigma_r), 1e30))
+    window = [(dy, dx) for dy in range(-radius, radius + 1) for dx in range(-radius, radius + 1)]
+    firsts = window[: len(window) // 2]  # the offsets before the center
+    offsets = [(0, 0)] + [o for dy, dx in firsts for o in ((dy, dx), (-dy, -dx))]
     with np.errstate(over="ignore"):
-        for dy in range(-radius, radius + 1):
-            for dx in range(-radius, radius + 1):
-                spatial_exp = min((dy * dy + dx * dx) * inv2ss, 80.0)
-                ws = np.float32(math.exp(-spatial_exp))
-                y0, y1 = max(0, -dy), min(h, h - dy)
-                x0, x1 = max(0, -dx), min(w, w - dx)
-                if y0 >= y1 or x0 >= x1:
-                    continue
-                center = f[y0:y1, x0:x1]
-                neigh = f[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-                diff = neigh - center
-                wgt = np.exp(np.maximum(diff * diff * scale, np.float32(spatial_exp - 80.0))) * ws
-                num[y0:y1, x0:x1] += wgt * diff
-                den[y0:y1, x0:x1] += wgt
+        for dy, dx in offsets:
+            spatial_exp = min((dy * dy + dx * dx) * inv2ss, 80.0)
+            ws = np.float32(math.exp(-spatial_exp))
+            y0, y1 = max(0, -dy), min(h, h - dy)
+            x0, x1 = max(0, -dx), min(w, w - dx)
+            if y0 >= y1 or x0 >= x1:
+                continue
+            center = f[y0:y1, x0:x1]
+            neigh = f[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+            diff = neigh - center
+            wgt = np.exp(np.maximum(diff * diff * scale, np.float32(spatial_exp - 80.0))) * ws
+            num[y0:y1, x0:x1] += wgt * diff
+            den[y0:y1, x0:x1] += wgt
     return m + num / den
