@@ -1,10 +1,11 @@
-"""Small shared helpers: input validation, the CPU budget for forking, the
-forked process that every fork site uses, and the map of one-shot work
-over processes."""
+"""Small shared helpers: the one rule for library numbers and the one for
+arrays, the CPU budget for forking, the forked process that every fork site
+uses, and the map of one-shot work over processes."""
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import pickle
 
@@ -13,14 +14,40 @@ import numpy as np
 from .errors import REPORTED, DepthPocsError, InvalidInputError, InvalidParameterError
 
 
-def as_map(a, name: str = "map") -> np.ndarray:
-    """Coerce to a 2D float64 depth map and validate finiteness."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2D, got shape {m.shape}")
+def require_number(value, name: str, error, *, integer=False, least=None, finite=True):
+    """Return value if it is a Python or numpy int (or, unless integer, float),
+    finite unless finite=False, and >= least where least is given. Otherwise
+    raise error naming name and the broken rule. Bools, strings, None,
+    complex numbers, Decimals and Fractions are refused."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise error(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
+    try:
+        infinite = not math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        infinite = True
+    if finite and infinite:
+        raise error(f"{name} must be finite, got {value!r}")
+    if least is not None and not value >= least:  # a NaN fails too
+        raise error(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def as_map(a, name: str = "map", shape=None, error=InvalidInputError) -> np.ndarray:
+    """Coerce to a float64 array of finite samples, 2D or of exactly `shape`;
+    raise error naming name otherwise."""
+    try:  # casting a complex array would drop its imaginary part, with a warning
+        m = None if np.iscomplexobj(a) else np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError):
+        m = None
+    if m is None:
+        raise error(f"{name} must be an array of real numbers")
+    if (m.ndim != 2) if shape is None else (m.shape != shape):
+        want = "2D" if shape is None else "x".join(map(str, shape))
+        raise error(f"{name} must be {want}, got shape {m.shape}")
     # min and max are finite exactly when every sample is (NaN propagates).
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
-        raise InvalidInputError(f"{name} contains non-finite samples")
+        raise error(f"{name} contains non-finite samples")
     return m
 
 

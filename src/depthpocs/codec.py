@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_map
+from ._common import as_map, require_number
 from .errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
 from .pgm import MAX_LEVEL
 
@@ -78,8 +78,7 @@ _MIN_STEP = 2.0**-20
 
 def flat_table(delta: float) -> np.ndarray:
     """Step table with the same step size for all 64 coefficients."""
-    if not np.isfinite(delta) or delta <= 0:
-        raise InvalidParameterError(f"step size must be positive, got {delta}")
+    require_number(delta, "step size", InvalidParameterError)
     if delta < _MIN_STEP:
         raise InvalidParameterError(
             f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {delta}"
@@ -88,9 +87,9 @@ def flat_table(delta: float) -> np.ndarray:
 
 
 def jpeg_table(quality: int) -> np.ndarray:
-    """Luminance-style step table scaled by a quality factor in [1, 100]."""
-    q = int(quality)
-    if not 1 <= q <= 100:
+    """Luminance-style step table scaled by an integer quality factor in [1, 100]."""
+    q = require_number(quality, "quality", InvalidParameterError, integer=True, least=1)
+    if q > 100:
         raise InvalidParameterError(f"quality must be in [1, 100], got {quality}")
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     steps = np.floor((_JPEG_BASE * scale + 50.0) / 100.0)
@@ -98,11 +97,9 @@ def jpeg_table(quality: int) -> np.ndarray:
 
 
 def _check_table(table) -> np.ndarray:
-    t = np.asarray(table, dtype=np.float64)
-    if t.shape != (BLOCK, BLOCK):
-        raise InvalidInputError(f"step table must be {BLOCK}x{BLOCK}, got {t.shape}")
-    if not np.all(np.isfinite(t)) or np.any(t <= 0):
-        raise InvalidInputError("step table entries must be positive and finite")
+    t = as_map(table, "step table", (BLOCK, BLOCK))
+    if np.any(t <= 0):
+        raise InvalidInputError("step table entries must be positive")
     return t
 
 

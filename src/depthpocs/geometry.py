@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import as_map
 from .errors import InvalidConfigurationError
 
 _ORTHO_TOL = 1e-9
@@ -33,16 +34,9 @@ class CameraParams:
     e: np.ndarray
 
     def __post_init__(self):
-        self.k = np.asarray(self.k, dtype=np.float64)
-        self.e = np.asarray(self.e, dtype=np.float64)
-        if self.k.shape != (3, 3):
-            raise InvalidConfigurationError(f"K must be 3x3, got {self.k.shape}")
-        if self.e.shape != (3, 4):
-            raise InvalidConfigurationError(f"E must be 3x4, got {self.e.shape}")
-        if not (np.all(np.isfinite(self.k)) and np.all(np.isfinite(self.e))):
-            raise InvalidConfigurationError("camera matrices must be finite")
-        lower = np.array([self.k[1, 0], self.k[2, 0], self.k[2, 1]])
-        if np.any(lower != 0):
+        self.k = as_map(self.k, "K", (3, 3), InvalidConfigurationError)
+        self.e = as_map(self.e, "E", (3, 4), InvalidConfigurationError)
+        if np.any(np.tril(self.k, -1)):
             raise InvalidConfigurationError("K must be upper triangular")
         if self.k[0, 0] <= 0 or self.k[1, 1] <= 0 or self.k[2, 2] != 1:
             raise InvalidConfigurationError(

@@ -33,12 +33,11 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import Forked, as_map, fork_cpus, require_same_shape
+from ._common import Forked, as_map, fork_cpus, require_number, require_same_shape
 from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, require_rectified
@@ -51,8 +50,9 @@ VIEWS = ("left", "right")
 
 @dataclass(frozen=True)
 class RefineOptions:
-    """Stopping rule plus warp and filter parameters for refine(). Frozen, so
-    the stages receive the values checked here; dataclasses.replace checks again."""
+    """Stopping rule plus warp and filter parameters for refine(). Frozen and
+    held as Python numbers (not numpy float32 or uint8), so the stages compute
+    with the values checked here; dataclasses.replace checks again."""
 
     max_iters: int = 10
     eps: float = 0.01
@@ -63,34 +63,19 @@ class RefineOptions:
     start: str = "left"
 
     def __post_init__(self):
-        for names, kind, what in (
-            (("max_iters", "radius"), numbers.Integral, "an integer"),
-            (("eps", "tau", "sigma_s", "sigma_r"), numbers.Real, "a number"),
-        ):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
-        if self.max_iters < 1:
-            raise InvalidParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.eps >= 0:
-            raise InvalidParameterError(f"eps must be >= 0, got {self.eps}")
+        for name, integer, least in (("max_iters", True, 1), ("radius", True, 0),
+                                     ("eps", False, 0), ("tau", False, 0),
+                                     ("sigma_s", False, 0), ("sigma_r", False, 0)):
+            value = require_number(getattr(self, name), name, InvalidParameterError,
+                                   integer=integer, least=least)
+            object.__setattr__(self, name, int(value) if integer else float(value))
         if self.start not in VIEWS:
             raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
-        if self.radius < 0:
-            raise InvalidParameterError(f"radius must be >= 0, got {self.radius}")
         for name in ("sigma_s", "sigma_r"):
-            value = getattr(self, name)
-            try:
-                usable = value > 0 and math.isfinite(1.0 / (2.0 * float(value) * float(value)))
-            except ZeroDivisionError:  # 2 value^2 underflows to zero
-                usable = False
-            if not usable:
-                raise InvalidParameterError(
-                    f"{name} must be positive with a finite 1/(2 {name}^2), got {value}"
-                )
-        if not (0 <= self.tau < math.inf):
-            raise InvalidParameterError(f"tau must be finite and >= 0, got {self.tau}")
+            # The filter's 1/(2 sigma^2) must be finite, so sigma at least about 5e-155.
+            twice_square = 2.0 * getattr(self, name) * getattr(self, name)
+            require_number(1.0 / twice_square if twice_square else math.inf,
+                           f"1/(2 {name}^2)", InvalidParameterError)
 
 
 @dataclass

@@ -31,7 +31,6 @@ libcrypto and cost a run about 6 MiB of resident memory.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._common import in_processes
+from ._common import in_processes, require_number
 from .errors import InvalidSceneError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
 
@@ -66,6 +65,9 @@ class Box:
     y0: float
     y1: float
     depth: float
+
+
+_FIELDS = {Plane: ("a", "b", "c"), Box: ("x0", "x1", "y0", "y1", "depth")}  # the numeric ones
 
 
 @dataclass
@@ -205,14 +207,10 @@ def _render_view(
             rippled.append(i)
         elif isinstance(prim, Plane):
             lo = hi = _plane_hits(prim, u, v, tx, ripple)
-        elif isinstance(prim, Box):
-            lo = hi = _box_hits(prim, u, v, tx)
         else:
-            raise InvalidSceneError(f"unknown primitive type {type(prim).__name__}")
+            lo = hi = _box_hits(prim, u, v, tx)
         layers.append(lo)
         np.minimum(front, hi, out=front)
-    if not layers:
-        raise InvalidSceneError("scene has no primitives")
     stack = np.stack(layers)
     del layers, lo, hi  # their memory goes to the solves
     # A rippled plane is solved where lo <= front, the least hi; elsewhere its
@@ -269,27 +267,26 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     The two maps are geometrically consistent: warping the left truth with
     the true cameras reproduces the right truth on masked pixels (up to
     interpolation error on curved surfaces). A field of the wrong type or
-    value raises InvalidSceneError before anything is rendered.
+    value, a primitive's included, raises InvalidSceneError before anything
+    is rendered.
     """
-    # Sizes and the seed are ints or numpy integers, not bools; the other
-    # numbers are finite reals, and cx or cy may be None, the image centre.
-    for name, least, rule in (("width", 1, "positive"), ("height", 1, "positive"),
-                              ("seed", 0, ">= 0")):
-        value = getattr(spec, name)
-        try:
-            ok = not isinstance(value, bool) and operator.index(value) >= least
-        except TypeError:
-            ok = False
-        if not ok:
-            raise InvalidSceneError(f"scene {name} must be {rule} (an integer), got {value!r}")
+    # The seed may be any integer >= 0: it seeds the ripple's PCG64 whole.
+    for name, least in (("width", 1), ("height", 1), ("seed", 0)):
+        require_number(getattr(spec, name), name, InvalidSceneError,
+                       integer=True, least=least, finite=name != "seed")
     for name in ("noise_amp", "focal", "baseline", "cx", "cy"):
-        value = getattr(spec, name)
-        try:  # an int past the float range overflows
-            ok = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            ok = value is None and name in ("cx", "cy")
-        if not ok:
-            raise InvalidSceneError(f"{name} must be finite (a real number), got {value!r}")
+        if getattr(spec, name) is not None or name not in ("cx", "cy"):  # None: the centre
+            require_number(getattr(spec, name), name, InvalidSceneError)
+    prims = spec.primitives
+    if type(prims) not in (list, tuple) or not prims:
+        raise InvalidSceneError(f"primitives must be a non-empty list, got {prims!r}")
+    for i, prim in enumerate(prims):
+        if type(prim) not in _FIELDS:
+            raise InvalidSceneError(f"primitives[{i}] must be a Plane or a Box, got {prim!r}")
+        for name in _FIELDS[type(prim)]:
+            require_number(getattr(prim, name), f"primitives[{i}].{name}", InvalidSceneError)
+        if type(prim) is Plane and type(prim.ripple) not in (bool, np.bool_):
+            raise InvalidSceneError(f"primitives[{i}].ripple must be a bool, got {prim.ripple!r}")
     # First, so that a focal length that is not positive fails before rendering.
     cameras = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
     cams = (cameras.left, cameras.right)

@@ -1251,7 +1251,7 @@ class TestExitCodes:
             (IMPORT_CONFIG.replace("r.pgm", "wide.pgm"), ["run"], "disagree in size"),
             (IMPORT_CONFIG, ["generate"], "generate needs"),
             (SCENE_ONLY, ["run"], "at least one [primitive.*]"),
-            (SMALL_SCENE.replace("width = 64", "width = 0"), ["run"], "must be positive"),
+            (SMALL_SCENE.replace("width = 64", "width = 0"), ["run"], "width must be >= 1"),
             (SMALL_SCENE, ["sweep", "--deltas", ","], "at least one value"),
         ],
         ids=[

@@ -4,6 +4,7 @@ bin projection properties, whole-map coding and the QDM1 container."""
 import math
 import struct
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpocs import codec
-from depthpocs.errors import CorruptDescriptionError, InvalidInputError
+from depthpocs.errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
 
 
 def oracle_forward_dct(block):
@@ -240,12 +241,26 @@ class TestProjectToBins:
         assert n_out == np.count_nonzero(clipped != coeffs)
 
 
+def table_rejected(make, value, named):
+    """make(value) raises InvalidParameterError naming `named`, with exit code 2
+    and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameterError, match=named) as got:
+            make(value)
+    assert got.value.exit_code == 2
+
+
 class TestTables:
     def test_flat_table(self):
         t = codec.flat_table(24.0)
         assert t.shape == (8, 8) and np.all(t == 24.0)
         with pytest.raises(InvalidInputError):
             codec.flat_table(0.0)
+        assert np.array_equal(codec.flat_table(np.float32(24.0)), t)
+        # "24" and None raised a raw TypeError, and True made a step of 1.
+        for bad in ("24", None, True, np.True_, math.nan, -math.inf, 10**400, 1j, Decimal("24")):
+            table_rejected(codec.flat_table, bad, "step size")
 
     def test_flat_table_rejects_steps_below_2_pow_minus_20(self):
         # Every coefficient of a map in [0, 256) is below 2048 = 2**11, so
@@ -269,6 +284,11 @@ class TestTables:
         assert np.all(codec.jpeg_table(100) >= 1.0)
         with pytest.raises(InvalidInputError):
             codec.jpeg_table(0)
+        assert np.array_equal(codec.jpeg_table(np.int16(50)), codec.jpeg_table(50))
+        # A quality is an integer, not a bool: 50.9 made quality 50, and NaN
+        # raised a raw ValueError.
+        for bad in (50.9, np.float64(50.0), True, "50", None, math.nan, 101, 10**400):
+            table_rejected(codec.jpeg_table, bad, "quality")
 
 
 class TestEncodeDecode:

@@ -3,6 +3,7 @@
 vectorized scale grid against the oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,22 @@ class TestCameraValidation:
             CameraParams(np.eye(2), np.zeros((3, 4)))
         with pytest.raises(InvalidConfigurationError):
             CameraParams(np.eye(3), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            np.eye(3) * (1 + 1j),  # cast to its real part, with a ComplexWarning
+            "K",  # numpy's raw ValueError
+            [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],  # numpy's raw ValueError
+            np.diag([math.nan, 1.0, 1.0]),
+        ],
+        ids=["complex", "string", "ragged", "nan"],
+    )
+    def test_entries_must_be_finite_real_numbers(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigurationError, match="K "):
+                CameraParams(k, np.hstack([np.eye(3), np.zeros((3, 1))]))
 
 
 class TestScaleGrid:

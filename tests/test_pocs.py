@@ -10,6 +10,7 @@ import math
 import os
 import platform
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -310,7 +311,11 @@ class TestRefine:
         # Real parameters take a number that is not a bool, as the integer
         # ones take an integer that is not a bool.
         for bad in ({"eps": "0.1"}, {"tau": None}, {"sigma_s": "2"}, {"sigma_r": True}):
-            with pytest.raises(InvalidParameterError, match="must be a number"):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                RefineOptions(**bad)
+        # Past the float range: sigma_s raised a raw OverflowError, and tau was accepted.
+        for bad in ({"sigma_s": 10**400}, {"tau": 10**400}, {"radius": 10**400}):
+            with pytest.raises(InvalidParameterError, match=f"{next(iter(bad))} must be finite"):
                 RefineOptions(**bad)
 
     @pytest.mark.parametrize(
@@ -341,6 +346,16 @@ class TestRefine:
     def test_filter_options_accepted(self):
         opts = RefineOptions(radius=np.int64(2), tau=0.0, sigma_s=0.5, sigma_r=1e-9)
         assert opts.radius == 2
+
+    def test_numpy_options_held_as_python_numbers(self):
+        # In their own types, the filter's 1/(2 sigma_r^2) overflowed float32
+        # with a RuntimeWarning, and a uint8 max_iters overflowed the stripe count.
+        opts = RefineOptions(max_iters=np.uint8(2), radius=np.int8(1), sigma_r=np.float32(1e-20))
+        assert [type(getattr(opts, f)) for f in ("max_iters", "radius", "sigma_r")] == [int, int, float]
+        gen, dl, dr = coded_pair(32, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refine(dl, dr, gen.cameras.left, gen.cameras.right, opts)
 
     def test_options_are_frozen(self):
         # The values __post_init__ checked are the values the stages receive.

@@ -8,6 +8,7 @@ import math
 import os
 import signal
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ def spec_with(primitives, width=64, height=64, baseline=8.0, noise_amp=0.0, seed
         seed=seed,
         noise_amp=noise_amp,
     )
+
+
+def rejected_before_rendering(monkeypatch, spec, named):
+    """generate_scene(spec) raises InvalidSceneError naming `named` (a regex), with
+    exit code 2 and no RuntimeWarning, before any view renders."""
+    rendered = []
+    monkeypatch.setattr(scene, "_render_view", lambda *args: rendered.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidSceneError, match=named) as got:
+            generate_scene(spec)
+    assert got.value.exit_code == 2
+    assert not rendered
 
 
 class TestRendering:
@@ -134,6 +148,7 @@ class TestRendering:
             ("noise_amp", "1.5"),
             ("noise_amp", True),
             ("noise_amp", None),
+            ("noise_amp", Fraction(3, 2)),  # a raw TypeError from numpy
             ("focal", "120"),
             ("focal", math.nan),
             ("focal", 10**400),
@@ -144,19 +159,40 @@ class TestRendering:
             ("cx", math.inf),
             ("cy", 1 + 0j),
             ("cy", math.nan),
+            ("primitives", None),  # TypeError: 'NoneType' object is not iterable
+            ("primitives", []),
+            ("primitives", [object()]),
+            ("primitives", "plane"),
         ],
     )
     def test_bad_field_rejected_before_rendering(self, monkeypatch, name, value):
         # Sizes are integers >= 1, not bools; the others are finite real
         # numbers. Each is checked where it enters, before any view renders.
-        rendered = []
-        monkeypatch.setattr(scene, "_render_view", lambda *args: rendered.append(args))
         spec = demo_scene(64, 64)
         setattr(spec, name, value)
-        with pytest.raises(InvalidSceneError, match=name) as got:
-            generate_scene(spec)
-        assert got.value.exit_code == 2
-        assert not rendered
+        rejected_before_rendering(monkeypatch, spec, name)
+
+    @pytest.mark.parametrize(
+        "primitive, field",
+        [
+            (Plane(a="0.1", b=0.0, c=120.0), "a"),  # numpy's UFuncTypeError
+            (Plane(a=0.1, b=None, c=120.0), "b"),
+            (Plane(a=Fraction(1, 10), b=0.0, c=120.0), "a"),  # numpy's UFuncTypeError
+            (Plane(a=0.1, b=0.0, c=math.inf), "c"),
+            (Plane(a=0.1, b=0.0, c=120.0, ripple="no"), "ripple"),  # rendered rippled
+            (Plane(a=0.1, b=0.0, c=120.0, ripple=1), "ripple"),
+            (Box(-12.0, 48.0, -44.0, 28.0, depth="50"), "depth"),  # numpy's UFuncTypeError
+            (Box(-12.0, 48.0, -44.0, 28.0, depth=True), "depth"),
+            (Box(-12.0, 48.0, 1 + 0j, 28.0, depth=60.0), "y0"),
+            (Box(math.nan, 48.0, -44.0, 28.0, depth=60.0), "x0"),
+            (Box(-12.0, 10**400, -44.0, 28.0, depth=60.0), "x1"),
+        ],
+    )
+    def test_bad_primitive_rejected_before_rendering(self, monkeypatch, primitive, field):
+        # A primitive's numbers are finite reals and ripple a bool.
+        spec = demo_scene(64, 64)
+        spec.primitives[1] = primitive
+        rejected_before_rendering(monkeypatch, spec, rf"primitives\[1\]\.{field}")
 
     def test_numpy_numbers_accepted(self):
         want = generate_scene(demo_scene(64, 48))
