@@ -1,6 +1,6 @@
-"""Small shared helpers: the one rule for library numbers and the one for
-arrays, the CPU budget for forking, the forked process that every fork site
-uses, and the map of one-shot work over processes."""
+"""Small shared helpers: the rules for library numbers and arrays, the display
+of a caller's value, the CPU budget for forking, the forked process that every
+fork site uses, and the map of one-shot work over processes."""
 
 from __future__ import annotations
 
@@ -11,7 +11,15 @@ import pickle
 
 import numpy as np
 
-from .errors import REPORTED, DepthPocsError, InvalidInputError, InvalidParameterError
+from .errors import REPORTED, DepthPocsError, InvalidInputError
+
+
+def shown(value) -> str:
+    """repr(value) for a message, or its type where Python refuses an int of over 4,300 digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
 
 
 def require_number(value, name: str, error, *, integer=False, least=None, finite=True):
@@ -21,15 +29,16 @@ def require_number(value, name: str, error, *, integer=False, least=None, finite
     complex numbers, Decimals and Fractions are refused."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise error(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
+        rule = "an integer" if integer else "a real number"
+        raise error(f"{name} must be {rule}, got {shown(value)}")
     try:
         infinite = not math.isfinite(value)
     except OverflowError:  # an integer past the float range
         infinite = True
     if finite and infinite:
-        raise error(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {shown(value)}")
     if least is not None and not value >= least:  # a NaN fails too
-        raise error(f"{name} must be >= {least}, got {value!r}")
+        raise error(f"{name} must be >= {least}, got {shown(value)}")
     return value
 
 
@@ -49,11 +58,6 @@ def as_map(a, name: str = "map", shape=None, error=InvalidInputError) -> np.ndar
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise error(f"{name} contains non-finite samples")
     return m
-
-
-def require_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise InvalidParameterError(f"{what}: shape mismatch {a.shape} vs {b.shape}")
 
 
 # The pids of the Forked children this process has started and not yet

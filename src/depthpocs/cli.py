@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._common import in_processes
+from ._common import as_map, in_processes
 from .codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
 from .errors import REPORTED, ConfigError, InvalidParameterError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
@@ -244,8 +244,7 @@ def resolve_inputs(config: RunConfig) -> GeneratedScene:
     if config.scene is not None:
         return generate_scene(config.scene)
     left, right = map(read_pgm, config.inputs)
-    if left.shape != right.shape:
-        raise ConfigError(f"input maps disagree in size: {left.shape} vs {right.shape}")
+    as_map(right, "[inputs] right map", left.shape, ConfigError)
     return GeneratedScene(left, right, None, None, config.camera_pair(left.shape))
 
 
@@ -259,9 +258,7 @@ def _write_truth(outdir: Path, inputs: GeneratedScene, deep: bool) -> None:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return f"{x:.6f}"
+    return "nan" if x is None else f"{x:.6f}"
 
 
 def _stop_state(report: IterationReport) -> str:
@@ -387,13 +384,10 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    left = read_pgm(args.left)
-    right = read_pgm(args.right)
-    ref_l = read_pgm(args.ref_left)
-    ref_r = read_pgm(args.ref_right)
+    paths = (args.left, args.right, args.ref_left, args.ref_right)
+    left, right, ref_l, ref_r = map(read_pgm, paths)
     for view, m, ref in zip(VIEWS, (left, right), (ref_l, ref_r)):
-        if m.shape != ref.shape:
-            raise ConfigError(f"--{view} is {m.shape}, --ref-{view} is {ref.shape}")
+        as_map(m, f"--{view} (scored against --ref-{view})", ref.shape, ConfigError)
     score = quality_g(left, right, ref_l, ref_r)
     if args.outdir:
         outdir = Path(args.outdir)

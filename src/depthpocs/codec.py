@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_map, require_number
+from ._common import as_map, require_number, shown
 from .errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
 from .pgm import MAX_LEVEL
 
@@ -81,7 +81,7 @@ def flat_table(delta: float) -> np.ndarray:
     require_number(delta, "step size", InvalidParameterError)
     if delta < _MIN_STEP:
         raise InvalidParameterError(
-            f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {delta}"
+            f"step size must be at least 2**-20 ({_MIN_STEP:.3g}), got {shown(delta)}"
         )
     return np.full((BLOCK, BLOCK), float(delta))
 
@@ -90,7 +90,7 @@ def jpeg_table(quality: int) -> np.ndarray:
     """Luminance-style step table scaled by an integer quality factor in [1, 100]."""
     q = require_number(quality, "quality", InvalidParameterError, integer=True, least=1)
     if q > 100:
-        raise InvalidParameterError(f"quality must be in [1, 100], got {quality}")
+        raise InvalidParameterError(f"quality must be in [1, 100], got {shown(quality)}")
     scale = 5000.0 / q if q < 50 else 200.0 - 2.0 * q
     steps = np.floor((_JPEG_BASE * scale + 50.0) / 100.0)
     return np.clip(steps, 1.0, 255.0)

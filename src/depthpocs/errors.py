@@ -3,8 +3,8 @@
 Everything raised on purpose by this package derives from DepthPocsError,
 so callers can catch library failures in one clause. Each class carries
 the process exit code the CLI returns for it: 2 for an invalid
-configuration or argument (a step size, a quality, an option, maps of
-different sizes), 3 for an unreadable file, 4 for every other failure,
+configuration or argument (a step size, a quality, an option, a map of the
+wrong shape), 3 for an unreadable file, 4 for every other failure,
 such as a description that no map in [0, 256] is coded to (see decode_map).
 REPORTED lists every failure the CLI reports, and the only ones a forked
 process passes back as they are (see _common.Forked): a library error
@@ -33,7 +33,7 @@ class InvalidConfigurationError(DepthPocsError, ValueError):
 
 
 class InvalidParameterError(InvalidInputError):
-    """An option, step size or quality out of range, or maps of different sizes."""
+    """An option, step size or quality out of range, or a map of the wrong shape."""
 
     exit_code = 2
 

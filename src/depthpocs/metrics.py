@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_map, require_same_shape
+from ._common import as_map
+from .errors import InvalidParameterError
 from .pgm import round8
 
 PEAK = 255.0
@@ -30,8 +31,7 @@ def psnr(a, b, *, round_to_int: bool = False) -> float:
     comparison of written 8-bit outputs.
     """
     ma = as_map(a, "a")
-    mb = as_map(b, "b")
-    require_same_shape(ma, mb, "psnr")
+    mb = as_map(b, "b", ma.shape, InvalidParameterError)
     if round_to_int:
         ma = round8(ma)
         mb = round8(mb)
@@ -52,6 +52,5 @@ def quality_g(i1, i2, ref_l, ref_r, *, round_to_int: bool = False) -> QualitySco
 def error_map(a, b) -> np.ndarray:
     """Per-sample absolute difference |a - b|."""
     ma = as_map(a, "a")
-    mb = as_map(b, "b")
-    require_same_shape(ma, mb, "error_map")
+    mb = as_map(b, "b", ma.shape, InvalidParameterError)
     return np.abs(ma - mb)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import Forked, as_map, fork_cpus, require_number, require_same_shape
+from ._common import Forked, as_map, fork_cpus, require_number, shown
 from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, require_rectified
@@ -70,12 +70,18 @@ class RefineOptions:
                                    integer=integer, least=least)
             object.__setattr__(self, name, int(value) if integer else float(value))
         if self.start not in VIEWS:
-            raise InvalidParameterError(f"start must be 'left' or 'right', got {self.start!r}")
+            raise InvalidParameterError(f"start must be 'left' or 'right', got {shown(self.start)}")
         for name in ("sigma_s", "sigma_r"):
             # The filter's 1/(2 sigma^2) must be finite, so sigma at least about 5e-155.
             twice_square = 2.0 * getattr(self, name) * getattr(self, name)
             require_number(1.0 / twice_square if twice_square else math.inf,
                            f"1/(2 {name}^2)", InvalidParameterError)
+
+
+def _require_options(options) -> RefineOptions:
+    if not isinstance(options, RefineOptions):
+        raise InvalidParameterError(f"options must be RefineOptions, got {type(options).__name__}")
+    return options
 
 
 @dataclass
@@ -254,16 +260,12 @@ def half_iteration(
     the fraction of coefficients that had to be clipped; its iteration and
     view are None, for refine to set. stripes is refine's striping context;
     without one the whole map is a single stripe. The stages below check
-    nothing; this checks the description, maps and cameras.
+    nothing; this checks the description, options, maps and cameras.
     """
     dst_desc.validate()
-    s = as_map(src, "source map")
-    cur = as_map(dst_current, "target map")
-    require_same_shape(s, cur, "source and target maps")
-    if cur.shape != dst_desc.shape:
-        raise InvalidParameterError(
-            f"map shape {cur.shape} does not match description {dst_desc.shape}"
-        )
+    _require_options(options)
+    s = as_map(src, "source map", dst_desc.shape, InvalidParameterError)
+    cur = as_map(dst_current, "target map", dst_desc.shape, InvalidParameterError)
     require_rectified(src_cam, dst_cam)
     if stripes is None:
         stripes = _Stripes((dst_desc,), cur.shape)
@@ -298,21 +300,20 @@ def refine(
     the report. The trace's PSNRs are taken on maps rounded to 8-bit
     levels, as report.csv prints them.
     """
-    opts = options if options is not None else RefineOptions()
+    opts = RefineOptions() if options is None else _require_options(options)
     require_rectified(left_cam, right_cam)
     descs = (left_desc, right_desc)
     cams = (left_cam, right_cam)
     maps = [decode_map(desc) for desc in descs]
-    require_same_shape(*maps, "left and right descriptions")
+    as_map(maps[1], "right description's decode", maps[0].shape, InvalidParameterError)
 
     truths = None
     if ground_truth is not None:
         truths = list(ground_truth)
         if len(truths) != 2:
             raise InvalidParameterError(f"ground_truth must be two maps, got {len(truths)}")
-        truths = [as_map(t, f"{view} truth") for view, t in zip(VIEWS, truths)]
-        for i, view in enumerate(VIEWS):
-            require_same_shape(truths[i], maps[i], f"{view} truth")
+        truths = [as_map(t, f"{view} truth", maps[0].shape, InvalidParameterError)
+                  for view, t in zip(VIEWS, truths)]
 
     report = IterationReport()
     first = VIEWS.index(opts.start)  # the source of each iteration's first half

@@ -38,7 +38,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._common import in_processes, require_number
+from ._common import in_processes, require_number, shown
 from .errors import InvalidSceneError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
 
@@ -279,14 +279,15 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
             require_number(getattr(spec, name), name, InvalidSceneError)
     prims = spec.primitives
     if type(prims) not in (list, tuple) or not prims:
-        raise InvalidSceneError(f"primitives must be a non-empty list, got {prims!r}")
+        raise InvalidSceneError(f"primitives must be a non-empty list, got {shown(prims)}")
     for i, prim in enumerate(prims):
         if type(prim) not in _FIELDS:
-            raise InvalidSceneError(f"primitives[{i}] must be a Plane or a Box, got {prim!r}")
+            raise InvalidSceneError(f"primitives[{i}] must be a Plane or a Box, got {shown(prim)}")
         for name in _FIELDS[type(prim)]:
             require_number(getattr(prim, name), f"primitives[{i}].{name}", InvalidSceneError)
         if type(prim) is Plane and type(prim.ripple) not in (bool, np.bool_):
-            raise InvalidSceneError(f"primitives[{i}].ripple must be a bool, got {prim.ripple!r}")
+            ripple = shown(prim.ripple)
+            raise InvalidSceneError(f"primitives[{i}].ripple must be a bool, got {ripple}")
     # First, so that a focal length that is not positive fails before rendering.
     cameras = stereo_pair((spec.height, spec.width), spec.focal, spec.baseline, spec.cx, spec.cy)
     cams = (cameras.left, cameras.right)

@@ -27,7 +27,7 @@ from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
 from depthpocs.codec import encode_map, flat_table, jpeg_table
 from depthpocs.errors import ConfigError
 from depthpocs.geometry import stereo_pair
-from depthpocs.metrics import psnr, quality_g
+from depthpocs.metrics import error_map, psnr, quality_g
 from depthpocs.pgm import read_pgm, write_pgm
 
 SMALL_SCENE = """
@@ -122,6 +122,13 @@ class TestLoadConfig:
         assert len(cfg.scene.primitives) == 2
         assert np.all(cfg.table == 24.0)
         assert cfg.options.max_iters == 3
+
+    def test_bundled_config_is_the_demo_scene(self):
+        # configs/twoplane.ini says that it matches demo_scene() and refine's defaults.
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "twoplane.ini")
+        assert cfg.scene == scene.demo_scene()
+        assert cfg.options == pocs.RefineOptions()
+        assert cfg.inputs is None and np.all(cfg.table == 24.0)
 
     @pytest.mark.parametrize("raw, value", [("9007199254740993", 9007199254740993), ("3.0", 3)])
     def test_integer_key_keeps_every_digit(self, tmp_path, raw, value):
@@ -1164,13 +1171,13 @@ README_EXIT_CODES = {
 }
 
 
-def _refine_16(right_width=16, truth_width=16):
-    """refine on a 16x16 left description, a 16 x right_width right one and
-    a 16 x truth_width left truth."""
+def _refine_16(right_width=16, truth_shape=(16, 16), options=None):
+    """refine on a 16x16 left description, a 16 x right_width right one,
+    a left truth of truth_shape and options."""
     descs = [encode_map(np.full((16, w), 90.0), flat_table(16.0)) for w in (16, right_width)]
     cams = stereo_pair((16, 16), focal=100.0, baseline=4.0)
-    truth = (np.full((16, truth_width), 90.0), np.full((16, 16), 90.0))
-    pocs.refine(*descs, cams.left, cams.right, ground_truth=truth)
+    truth = (np.full(truth_shape, 90.0), np.full((16, 16), 90.0))
+    pocs.refine(*descs, cams.left, cams.right, options, truth)
 
 
 class TestExitCodes:
@@ -1180,10 +1187,17 @@ class TestExitCodes:
             lambda: flat_table(0),
             lambda: jpeg_table(0),
             lambda: _refine_16(right_width=24),
-            lambda: _refine_16(truth_width=24),
+            lambda: _refine_16(truth_shape=(16, 24)),
             lambda: psnr(np.zeros((16, 16)), np.zeros((16, 24))),
+            # A map of the wrong number of dimensions breaks the same shape rule.
+            lambda: _refine_16(truth_shape=(1, 16, 16)),
+            lambda: psnr(np.zeros((16, 16)), np.zeros((1, 16, 16))),
+            lambda: error_map(np.zeros((16, 16)), np.zeros(256)),
+            lambda: _refine_16(options={"max_iters": 2}),
+            lambda: _refine_16(options="fast"),
         ],
-        ids=["flat-table-0", "jpeg-table-0", "refine-descriptions", "refine-truth", "psnr"],
+        ids=["flat-table-0", "jpeg-table-0", "refine-descriptions", "refine-truth", "psnr",
+             "refine-truth-3d", "psnr-3d", "error-map-1d", "options-dict", "options-str"],
     )
     def test_library_argument_error_carries_2(self, call):
         # The code the CLI returns for the same fault (test_bad_step_size_is_2_before_artifacts,
@@ -1248,7 +1262,8 @@ class TestExitCodes:
             (IMPORT_INLINE + CAMERA_FILE + CAMERA_ONLY, ["run"], "not both"),
             (IMPORT_INLINE + CAMERA_FILE.split("[camera.right]")[0], ["run"], "need both"),
             (IMPORT_INLINE, ["run"], "import mode needs"),
-            (IMPORT_CONFIG.replace("r.pgm", "wide.pgm"), ["run"], "disagree in size"),
+            (IMPORT_CONFIG.replace("r.pgm", "wide.pgm"), ["run"],
+             "[inputs] right map must be 16x16"),
             (IMPORT_CONFIG, ["generate"], "generate needs"),
             (SCENE_ONLY, ["run"], "at least one [primitive.*]"),
             (SMALL_SCENE.replace("width = 64", "width = 0"), ["run"], "width must be >= 1"),
@@ -1332,6 +1347,20 @@ class TestExitCodes:
             assert main(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: centroid decode range") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_bad_step_table_is_4_and_writes_nothing(self, tmp_path, capsys, step):
+        # A QDM1 file whose step table holds a step that is not a positive number.
+        raw = bytearray(encode_map(np.full((16, 16), 90.0), flat_table(16.0)).to_bytes())
+        at = 4 + 16 + 8 * 9  # the step of coefficient (1, 1)
+        raw[at : at + 8] = np.array(step, dtype="<f8").tobytes()
+        bad, out = tmp_path / "bad.qdm", tmp_path / "out.pgm"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["decode", str(bad), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: step table") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_bad_pgm_is_3(self, tmp_path):

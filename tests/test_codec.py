@@ -142,6 +142,13 @@ class TestQuantizer:
             codec.quantize(-2.0 * y, codec.flat_table(1.0))
         assert codec.quantize(y - 1.0, codec.flat_table(1.0))[3, 5] == 2**31 - 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, value):
+        y = np.zeros((8, 8))
+        y[2, 6] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            codec.quantize(y, codec.flat_table(1.0))
+
     def test_dequantize_examples(self):
         t = codec.flat_table(10.0)
         idx = np.full((8, 8), 2, dtype=np.int32)
@@ -313,6 +320,18 @@ class TestEncodeDecode:
     def test_table_not_8x8_rejected(self):
         with pytest.raises(InvalidInputError, match="8x8"):
             codec.encode_map(np.zeros((8, 8)), np.ones((4, 4)))
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [(0.0, "must be positive"), (-1.0, "must be positive"), (math.nan, "non-finite")],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_table_entries_must_be_positive_and_finite(self, step, message):
+        table = codec.flat_table(8.0)
+        table[1, 1] = step
+        with pytest.raises(InvalidInputError, match=message) as info:
+            codec.encode_map(np.zeros((8, 8)), table)
+        assert info.value.exit_code == 4
 
     @pytest.mark.parametrize(
         "value, step, message",

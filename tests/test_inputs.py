@@ -1,27 +1,30 @@
 """No raw traceback gets out of the library's records. Every field of
 RefineOptions, SceneSpec, Plane and Box, and the arguments of flat_table and
 jpeg_table, take drawn values of every kind: strings, None, bools, NaN, the
-infinities, integers past the float range, complex numbers, Decimals,
-Fractions, and numpy integers and floats. Each call is either accepted or raises a
-DepthPocsError with exit code 2; any other exception, or any warning, fails."""
+infinities, integers past the float range and past the 4,300 digits Python
+prints, complex numbers, Decimals, Fractions, and numpy integers and floats.
+Each call is either accepted or raises a DepthPocsError with exit code 2; any
+other exception, or any warning, fails."""
 
+import dataclasses
 import math
 import warnings
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthpocs.codec import flat_table, jpeg_table
 from depthpocs.errors import DepthPocsError
 from depthpocs.pocs import RefineOptions
-from depthpocs.scene import Box, Plane, SceneSpec, generate_scene
+from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 
 ODD = st.sampled_from([
     "1", "", None, True, False, np.True_, np.False_, math.nan, math.inf, -math.inf,
-    10**400, -(10**400), 1j, 2 + 0j, Decimal("1"), Decimal("nan"), Fraction(1, 3),
+    10**400, -(10**400), 10**5000, -(10**5000), 1j, 2 + 0j, Decimal("1"), Decimal("nan"), Fraction(1, 3),
     np.float64(np.nan), np.float32(-np.inf), object(),
 ])
 
@@ -87,6 +90,27 @@ SCENES = st.builds(
     seed=numbers(0, 2**70, integer=True),
     noise_amp=numbers(-2, 2),
 )
+
+
+def scene_with(**fields):
+    return generate_scene(dataclasses.replace(demo_scene(8, 8), **fields))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RefineOptions(radius=10**5000),
+    lambda: RefineOptions(start=10**5000),
+    lambda: jpeg_table(10**5000),
+    lambda: scene_with(width=10**5000),
+    lambda: scene_with(seed=-(10**5000)),
+    lambda: scene_with(primitives=10**5000),
+    lambda: scene_with(primitives=[Plane(a=10**5000, b=0.0, c=9.0)]),
+    lambda: scene_with(primitives=[Plane(0.0, 0.0, 9.0, ripple=10**5000)]),
+], ids=["radius", "start", "quality", "width", "seed", "primitives", "plane-a", "ripple"])
+def test_huge_integer_is_named_by_its_type(call):
+    # Python refuses str() of an int of more than 4,300 digits; the message shows its type.
+    with pytest.raises(DepthPocsError, match="got <int too long to show>$") as info:
+        call()
+    assert info.value.exit_code == 2
 
 
 @settings(max_examples=150, deadline=None)

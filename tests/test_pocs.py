@@ -147,6 +147,7 @@ class TestHalfIteration:
         [
             "target-vs-description",
             "source-vs-target",
+            "source-3d",
             "not-rectified",
             "description-one-block-short",
         ],
@@ -163,6 +164,8 @@ class TestHalfIteration:
             src, cur = src[:-8], cur[:-8]
         elif case == "source-vs-target":
             src = src[:, :-1]
+        elif case == "source-3d":  # a wrong number of dimensions breaks the shape rule too
+            src = src[None]
         elif case == "not-rectified":
             cam_r = simple_camera(130.0, 23.5, 23.5, 5.0)
             error = InvalidConfigurationError
@@ -285,7 +288,8 @@ class TestRefine:
         cam = simple_camera(100.0, 7.5, 7.5)
         nan = const.copy()
         nan[3, 4] = np.nan
-        for truth, message in ((nan, "left truth contains non-finite"), (const[None], "2D")):
+        for truth, message in ((nan, "left truth contains non-finite"),
+                               (const[None], "left truth must be 16x16")):
             with pytest.raises(InvalidInputError, match=message):
                 refine(dl, dl, cam, cam, RefineOptions(), (truth, const))
 
@@ -297,6 +301,20 @@ class TestRefine:
         with pytest.raises(InvalidParameterError, match="two maps") as info:
             refine(dl, dl, cam, cam, RefineOptions(), (const,) * count)
         assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("options", [{"max_iters": 2}, "fast", 3],
+                             ids=["dict", "str", "int"])
+    def test_options_must_be_refine_options(self, options):
+        # Both entry points refuse options of another type before reading them.
+        const = np.full((16, 16), 100.0)
+        dl = encode_map(const, flat_table(16.0))
+        cam = simple_camera(100.0, 7.5, 7.5)
+        name = type(options).__name__
+        for call in (lambda: refine(dl, dl, cam, cam, options),
+                     lambda: half_iteration(const, cam, cam, dl, const, options)):
+            with pytest.raises(InvalidParameterError, match=f"RefineOptions, got {name}$") as info:
+                call()
+            assert info.value.exit_code == 2
 
     def test_option_validation(self):
         with pytest.raises(InvalidParameterError):
