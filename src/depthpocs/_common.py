@@ -1,4 +1,4 @@
-"""Small shared helpers: the rules for library numbers and arrays, the display
+"""Small shared helpers: the rules for library numbers, kinds and arrays, the display
 of a caller's value, the CPU budget for forking, the forked process that every
 fork site uses, and the map of one-shot work over processes."""
 
@@ -42,9 +42,18 @@ def require_number(value, name: str, error, *, integer=False, least=None, finite
     return value
 
 
+def require_kind(value, kind, name: str, error):
+    """Return value if it is an instance of kind, a class or a tuple of them;
+    otherwise raise error "{name} must be {Kind}, got {type}"."""
+    if not isinstance(value, kind):
+        want = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be {want}, got {type(value).__name__}")
+    return value
+
+
 def as_map(a, name: str = "map", shape=None, error=InvalidInputError) -> np.ndarray:
-    """Coerce to a float64 array of finite samples, 2D or of exactly `shape`;
-    raise error naming name otherwise."""
+    """Coerce to a float64 array of at least one sample, all finite, 2D or
+    of exactly `shape`; raise error naming name otherwise."""
     try:  # casting a complex array would drop its imaginary part, with a warning
         m = None if np.iscomplexobj(a) else np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError):
@@ -54,8 +63,10 @@ def as_map(a, name: str = "map", shape=None, error=InvalidInputError) -> np.ndar
     if (m.ndim != 2) if shape is None else (m.shape != shape):
         want = "2D" if shape is None else "x".join(map(str, shape))
         raise error(f"{name} must be {want}, got shape {m.shape}")
+    if not m.size:
+        raise error(f"{name} has no samples, shape {m.shape}")
     # min and max are finite exactly when every sample is (NaN propagates).
-    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):
         raise error(f"{name} contains non-finite samples")
     return m
 

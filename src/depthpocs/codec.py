@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._common import as_map, require_number, shown
+from ._common import as_map, require_kind, require_number, shown
 from .errors import CorruptDescriptionError, InvalidInputError, InvalidParameterError
 from .pgm import MAX_LEVEL
 
@@ -160,11 +160,7 @@ def clip_to_bins(coeffs, bounds: BinConstraints) -> np.ndarray:
 def pad_to_blocks(map_: np.ndarray) -> np.ndarray:
     """Edge-replicate a map on the bottom/right to multiples of 8."""
     h, w = map_.shape
-    out = np.empty((h + (-h) % BLOCK, w + (-w) % BLOCK))
-    out[:h, :w] = map_
-    out[:h, w:] = map_[:, w - 1 :]
-    out[h:] = out[h - 1 : h]
-    return out
+    return np.pad(map_, ((0, -h % BLOCK), (0, -w % BLOCK)), mode="edge")
 
 
 def split_blocks(padded: np.ndarray) -> np.ndarray:
@@ -304,8 +300,6 @@ class QuantizedDescription:
 def encode_map(map_, table) -> QuantizedDescription:
     """Pad, block, transform and quantize a depth map with samples in [0, 256)."""
     m = as_map(map_)
-    if m.size == 0:
-        raise InvalidInputError("cannot encode an empty map")
     lo, hi = float(m.min()), float(m.max())
     if not (0.0 <= lo and hi < 256.0):
         raise InvalidInputError(f"map samples span [{lo:.6g}, {hi:.6g}], outside [0, 256)")
@@ -326,7 +320,7 @@ def decode_map(desc: QuantizedDescription) -> np.ndarray:
     largest step: the transform is orthonormal, so the decode of a map in the
     reader's domain [0, 256] lies within ||step/2||_2 <= 4 * delta_max of it.
     """
-    desc.validate()
+    require_kind(desc, QuantizedDescription, "description", InvalidParameterError).validate()
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = idct_blocks(dequantize(desc.indices, desc.table))
         lo, hi = float(np.min(blocks)), float(np.max(blocks))

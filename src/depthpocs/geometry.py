@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import as_map
+from ._common import as_map, require_kind
 from .errors import InvalidConfigurationError
 
 _ORTHO_TOL = 1e-9
@@ -63,7 +63,9 @@ def simple_camera(focal: float, cx: float, cy: float, tx: float = 0.0) -> Camera
 
 
 def require_rectified(a: CameraParams, b: CameraParams) -> None:
-    """Raise unless the two views share K and R and differ only in x-translation."""
+    """Raise unless both are CameraParams that share K and R and differ only in x-translation."""
+    for cam in (a, b):
+        require_kind(cam, CameraParams, "camera", InvalidConfigurationError)
     dt = np.abs(a.t - b.t)
     if max(np.max(np.abs(a.k - b.k)), np.max(np.abs(a.r - b.r)), dt[1], dt[2]) > _RECTIFIED_TOL:
         raise InvalidConfigurationError(

@@ -8,12 +8,17 @@ by 256 so values come back as fractional levels.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from ._common import as_map
 from .errors import PgmFormatError
 
 MAX_LEVEL = 65535 / 256  # the largest level read_pgm returns, from a 16-bit sample of 65535
+# A header token, non-whitespace bytes the first not '#', after any whitespace and
+# comments ('#' to the end of its line; the lookahead keeps whole one the data ends in).
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
 
 
 def round8(m: np.ndarray) -> np.ndarray:
@@ -38,23 +43,14 @@ def write_pgm(path, map_, *, deep: bool = False) -> None:
 
 
 def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
-    """First `count` whitespace-separated header tokens, skipping comments."""
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
+    """First `count` header tokens and the offset past the byte that ends the last."""
+    tokens, i = [], 0
+    for _ in range(count):
+        token = _TOKEN.match(data, i)
+        if token is None:
             raise PgmFormatError("truncated PGM header")
-        tokens.append(data[start:i])
+        tokens.append(token[1])
+        i = token.end()
     return tokens, i + 1  # single whitespace byte ends the header
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._common import Forked, as_map, fork_cpus, require_number, shown
+from ._common import Forked, as_map, fork_cpus, require_kind, require_number, shown
 from .codec import BLOCK, QuantizedDescription, decode_map, project_to_bins
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import CameraParams, require_rectified
@@ -76,12 +76,6 @@ class RefineOptions:
             twice_square = 2.0 * getattr(self, name) * getattr(self, name)
             require_number(1.0 / twice_square if twice_square else math.inf,
                            f"1/(2 {name}^2)", InvalidParameterError)
-
-
-def _require_options(options) -> RefineOptions:
-    if not isinstance(options, RefineOptions):
-        raise InvalidParameterError(f"options must be RefineOptions, got {type(options).__name__}")
-    return options
 
 
 @dataclass
@@ -262,8 +256,8 @@ def half_iteration(
     without one the whole map is a single stripe. The stages below check
     nothing; this checks the description, options, maps and cameras.
     """
-    dst_desc.validate()
-    _require_options(options)
+    require_kind(dst_desc, QuantizedDescription, "description", InvalidParameterError).validate()
+    require_kind(options, RefineOptions, "options", InvalidParameterError)
     s = as_map(src, "source map", dst_desc.shape, InvalidParameterError)
     cur = as_map(dst_current, "target map", dst_desc.shape, InvalidParameterError)
     require_rectified(src_cam, dst_cam)
@@ -296,11 +290,12 @@ def refine(
     updated view's bins, within ||step/2||_2 <= 4 * delta_max of that decode,
     so every map lies in [-8 * delta_max, 256 + 8 * delta_max]: no scan needed.
 
-    ground_truth, when given as (left, right), enables the PSNR trace in
+    ground_truth, a tuple or list (left, right), enables the PSNR trace in
     the report. The trace's PSNRs are taken on maps rounded to 8-bit
     levels, as report.csv prints them.
     """
-    opts = RefineOptions() if options is None else _require_options(options)
+    opts = RefineOptions() if options is None else options
+    require_kind(opts, RefineOptions, "options", InvalidParameterError)
     require_rectified(left_cam, right_cam)
     descs = (left_desc, right_desc)
     cams = (left_cam, right_cam)
@@ -309,7 +304,7 @@ def refine(
 
     truths = None
     if ground_truth is not None:
-        truths = list(ground_truth)
+        truths = require_kind(ground_truth, (tuple, list), "ground_truth", InvalidParameterError)
         if len(truths) != 2:
             raise InvalidParameterError(f"ground_truth must be two maps, got {len(truths)}")
         truths = [as_map(t, f"{view} truth", maps[0].shape, InvalidParameterError)

@@ -38,7 +38,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from ._common import in_processes, require_number, shown
+from ._common import in_processes, require_kind, require_number, shown
 from .errors import InvalidSceneError
 from .geometry import CameraParams, RectifiedPair, stereo_pair
 
@@ -270,6 +270,7 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
     value, a primitive's included, raises InvalidSceneError before anything
     is rendered.
     """
+    require_kind(spec, SceneSpec, "spec", InvalidSceneError)
     # The seed may be any integer >= 0: it seeds the ripple's PCG64 whole.
     for name, least in (("width", 1), ("height", 1), ("seed", 0)):
         require_number(getattr(spec, name), name, InvalidSceneError,

@@ -184,7 +184,8 @@ def bilateral_filter(
     pixel, so every output sample is the pixel plus a convex combination of
     its window's deviations from it. radius 0 is the documented off switch
     and returns a copy of the input. rows=(a, b) returns output rows
-    [a, b) only, each exactly as the whole filtered map has it.
+    [a, b) only, each exactly as the whole filtered map has it; every row
+    given is read, so project_view passes only those within radius of them.
 
     The deviations, weights and sums are float32; only the final pixel +
     num / den is float64. So an output stays inside its window's range up
@@ -207,7 +208,7 @@ def bilateral_filter(
     or rows: bit for bit as each offset evaluated on its own in that order
     in the same float32 arithmetic.
 
-    The rows read are copied into one flat buffer, each with radius zero
+    The map is copied into one flat buffer, each row with radius zero
     columns on either side, so that every step works on contiguous slices:
     with row stride W = w + 2 radius, neighbor (dy, dx) of flat index i is
     i + dy W + dx. A pair with a pad pixel gets weight +0 from a per-offset
@@ -240,13 +241,11 @@ def bilateral_filter(
     # An inv2sr past float32's range would make a deviation of 0 weigh
     # exp(-inf * 0) = NaN.
     scale = np.float32(-min(inv2sr, 1e30))
-    # Map rows [s0, s1), padded; pixel (y, x) is at flat[r + (y - s0) W + r + x].
+    # The map, padded; pixel (y, x) is at flat[r + y W + r + x].
     # Clipped to +-1e18, every deviation and its square are finite in float32.
-    s0, s1 = max(0, a - r), min(h, b + r)
     W = w + 2 * r
-    flat = np.zeros((s1 - s0) * W + 2 * r, np.float32)
-    inside = flat[r : r + (s1 - s0) * W].reshape(s1 - s0, W)[:, r : r + w]
-    np.clip(map_[s0:s1], -1e18, 1e18, out=inside)
+    flat = np.zeros(h * W + 2 * r, np.float32)
+    np.clip(map_, -1e18, 1e18, out=flat[r : r + h * W].reshape(h, W)[:, r : r + w])
     band = max(1, min(b - a, _BAND_PIXELS // W))
     # One offset's weights and weighted deviations over a band plus r rows.
     wgt_buf, term_buf = np.empty((2, (band + r) * W), np.float32)
@@ -265,13 +264,13 @@ def bilateral_filter(
         # d * d * inv2sr past the float32 range is -inf, which the floor lifts.
         with np.errstate(over="ignore"):
             for k, (dy, dx) in enumerate(firsts):
-                # Pixels p whose neighbor p + (dy, dx) was copied: the
+                # Pixels p whose neighbor p + (dy, dx) is in the map: the
                 # band's rows, and the |dy| rows below it, whose neighbors
                 # are in the band.
-                y0, y1 = max(b0, s0 - dy), min(s1, b1 - dy)
+                y0, y1 = max(b0, -dy), min(h, b1 - dy)
                 if y0 >= y1:
                     continue
-                n, i = (y1 - y0) * W, r + (y0 - s0) * W
+                n, i = (y1 - y0) * W, r + y0 * W
                 j = i + dy * W + dx
                 wgt, term = wgt_buf[:n], term_buf[:n]
                 np.subtract(flat[j : j + n], flat[i : i + n], out=term)

@@ -24,9 +24,9 @@ from hypothesis import strategies as st
 
 from depthpocs import cli, errors, pocs, scene
 from depthpocs.cli import CSV_HEADER, build_parser, load_config, main
-from depthpocs.codec import encode_map, flat_table, jpeg_table
+from depthpocs.codec import decode_map, encode_map, flat_table, jpeg_table
 from depthpocs.errors import ConfigError
-from depthpocs.geometry import stereo_pair
+from depthpocs.geometry import RectifiedPair, stereo_pair
 from depthpocs.metrics import error_map, psnr, quality_g
 from depthpocs.pgm import read_pgm, write_pgm
 
@@ -1205,6 +1205,62 @@ class TestExitCodes:
         with pytest.raises(errors.InvalidInputError) as info:
             call()
         assert info.value.exit_code == 2, info.value
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda d, cam, m: pocs.refine(None, d, cam, cam),
+             "description must be QuantizedDescription, got NoneType"),
+            (lambda d, cam, m: pocs.refine({}, d, cam, cam),
+             "description must be QuantizedDescription, got dict"),
+            (lambda d, cam, m: decode_map({}), "description must be QuantizedDescription, got dict"),
+            (lambda d, cam, m: pocs.refine(d, d, {}, cam), "camera must be CameraParams, got dict"),
+            (lambda d, cam, m: pocs.refine(d, d, cam, (1, 2)),
+             "camera must be CameraParams, got tuple"),
+            (lambda d, cam, m: pocs.half_iteration(m, cam, cam, None, m, pocs.RefineOptions()),
+             "description must be QuantizedDescription, got NoneType"),
+            (lambda d, cam, m: pocs.half_iteration(m, (1, 2), cam, d, m, pocs.RefineOptions()),
+             "camera must be CameraParams, got tuple"),
+            (lambda d, cam, m: RectifiedPair(cam, None), "camera must be CameraParams, got NoneType"),
+            (lambda d, cam, m: scene.generate_scene(None), "spec must be SceneSpec, got NoneType"),
+            (lambda d, cam, m: pocs.refine(d, d, cam, cam, None, 5),
+             "ground_truth must be tuple or list, got int"),
+            # One map where a pair is needed is named as such, not by its row count.
+            (lambda d, cam, m: pocs.refine(d, d, cam, cam, None, m),
+             "ground_truth must be tuple or list, got ndarray"),
+            (lambda d, cam, m: pocs.refine(d, d, cam, cam, None, (m,)),
+             "ground_truth must be two maps, got 1"),
+        ],
+        ids=["refine-desc-none", "refine-desc-dict", "decode-dict", "refine-cam-dict",
+             "refine-cam-tuple", "half-desc-none", "half-cam-tuple", "pair-cam-none",
+             "scene-none", "truth-int", "truth-one-map", "truth-one-tuple"],
+    )
+    def test_wrong_kind_carries_2(self, call, message):
+        # A record of the wrong kind is named with its type, as options are, and
+        # raises before any work with the code of the CLI's invalid configuration.
+        desc = encode_map(np.full((16, 16), 90.0), flat_table(16.0))
+        cam = stereo_pair((16, 16), focal=100.0, baseline=4.0).left
+        with pytest.raises(errors.DepthPocsError, match=f"^{re.escape(message)}$") as info:
+            call(desc, cam, np.full((16, 16), 90.0))
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda p: write_pgm(p, np.zeros((0, 5))), errors.InvalidInputError),
+            (lambda p: write_pgm(p, np.zeros((3, 0)), deep=True), errors.InvalidInputError),
+            (lambda p: psnr(np.zeros((0, 3)), np.zeros((0, 3))), errors.InvalidInputError),
+            (lambda p: error_map(np.zeros((0, 3)), np.zeros((0, 3))), errors.InvalidInputError),
+            (lambda p: encode_map(np.zeros((0, 0)), flat_table(8.0)), errors.InvalidInputError),
+        ],
+        ids=["write-pgm", "write-pgm16", "psnr", "error-map", "encode"],
+    )
+    def test_empty_map_is_refused(self, tmp_path, call, error):
+        # A map with no samples would write a file read_pgm rejects, or score NaN with warnings.
+        with pytest.raises(error, match="has no samples") as info:
+            call(tmp_path / "empty.pgm")
+        assert type(info.value) is error
+        assert not (tmp_path / "empty.pgm").exists()
 
     @pytest.mark.parametrize(
         "error",

@@ -91,6 +91,51 @@ class TestParsing:
         with pytest.raises(PgmFormatError):
             read_pgm(p)
 
+    @pytest.mark.parametrize(
+        "data, count, tokens",
+        [
+            (b"P5 3 2 # no newline", 3, [b"P5", b"3", b"2"]),
+            (b"P5\n2#3 1\n255\n", 4, [b"P5", b"2#3", b"1", b"255"]),
+            (b"P5#c 1 1 255 ", 4, [b"P5#c", b"1", b"1", b"255"]),
+            (b"P5\r3\x0b2\x0c255\r", 4, [b"P5", b"3", b"2", b"255"]),
+        ],
+        ids=["comment-at-end", "hash-in-dims", "hash-in-magic", "cr-vt-ff"],
+    )
+    def test_tokens(self, data, count, tokens):
+        # A '#' starts a comment only where a token could start; the byte after
+        # the last token ends the header.
+        got, offset = _read_tokens(data, count)
+        assert got == tokens
+        assert offset == data.index(tokens[-1], 2) + len(tokens[-1]) + 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5 3 2 # no newline", b"P5 3 2 #255", b"# only a comment\n", b"# only a comment", b""],
+        ids=["comment-at-end", "comment-like-a-token", "comment-line", "comment", "empty"],
+    )
+    def test_truncated_header(self, tmp_path, data):
+        # A comment the data ends inside is skipped whole, never split into a token.
+        p = tmp_path / "t.pgm"
+        p.write_bytes(data)
+        with pytest.raises(PgmFormatError, match="^truncated PGM header$"):
+            read_pgm(p)
+
+    def test_cr_vt_ff_separate_fields(self, tmp_path):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(b"P5\r3\x0b2\x0c255\r" + bytes([1, 2, 3, 4, 5, 6]))
+        assert np.array_equal(read_pgm(p), [[1, 2, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [(b"P5#c 1 1 255\n", "unsupported magic"), (b"P5 2#3 1 255\n", "non-numeric")],
+        ids=["magic", "width"],
+    )
+    def test_hash_inside_a_token(self, tmp_path, header, message):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(header + bytes(6))
+        with pytest.raises(PgmFormatError, match=message):
+            read_pgm(p)
+
 
 # A P5 header with small or out-of-range fields, then a payload of any length.
 _HEADED = st.builds(
