@@ -56,7 +56,7 @@ def as_map(a, name: str = "map", shape=None, error=InvalidInputError) -> np.ndar
     of exactly `shape`; raise error naming name otherwise."""
     try:  # casting a complex array would drop its imaginary part, with a warning
         m = None if np.iscomplexobj(a) else np.asarray(a, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
         m = None
     if m is None:
         raise error(f"{name} must be an array of real numbers")

@@ -14,7 +14,9 @@ ConfigError. Step tables come from _step_table; the config's one rig is
 RunConfig.camera_pair (a map shape in, the cameras out), used by import
 mode and `refine`; scene mode renders [camera] through generate_scene;
 the truth pair from resolve_inputs; the protocol from run_protocol and
-report.csv from write_report_csv. `sweep` renders the scene, or reads the
+report.csv from write_report_csv. One writer writes each map pair,
+_write_pair, as {tag}_left.pgm and {tag}_right.pgm in a directory it makes
+where it is missing, and one each CSV file, _write_lines. `sweep` renders the scene, or reads the
 [inputs] maps, once and runs the protocol on those arrays for every step,
 each step in a process of _common.in_processes (forked workers inherit the
 arrays and reply with the step's RunResult). It prints each step's line in
@@ -36,7 +38,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -248,13 +250,24 @@ def resolve_inputs(config: RunConfig) -> GeneratedScene:
     return GeneratedScene(left, right, None, None, config.camera_pair(left.shape))
 
 
-def _write_truth(outdir: Path, inputs: GeneratedScene, deep: bool) -> None:
+def _write_pair(outdir, tag: str, pair, deep: bool = False) -> None:
+    """{tag}_left.pgm and {tag}_right.pgm in outdir, which is made if it is missing."""
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    for view, m in zip(VIEWS, pair):
+        write_pgm(Path(outdir, f"{tag}_{view}.pgm"), m, deep=deep)
+
+
+def _write_lines(path, lines) -> None:
+    """lines as ASCII text, each ended by \\n."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_truth(outdir, inputs: GeneratedScene, deep: bool) -> None:
     """truth_*.pgm, plus mask_*.pgm (always 8-bit) when the inputs have masks."""
-    for view, truth in zip(VIEWS, (inputs.left, inputs.right)):
-        write_pgm(outdir / f"truth_{view}.pgm", truth, deep=deep)
+    _write_pair(outdir, "truth", (inputs.left, inputs.right), deep)
     if inputs.mask_left is not None:
-        for view, mask in zip(VIEWS, (inputs.mask_left, inputs.mask_right)):
-            write_pgm(outdir / f"mask_{view}.pgm", mask * 255.0)
+        _write_pair(outdir, "mask", (m * 255.0 for m in (inputs.mask_left, inputs.mask_right)))
 
 
 def _fmt(x) -> str:
@@ -265,14 +278,12 @@ def _stop_state(report: IterationReport) -> str:
     return f"{'converged' if report.converged else 'stopped'} after {report.iterations} iterations"
 
 
-def write_report_csv(
-    path, report: IterationReport, scores: tuple[QualityScore, ...] = ()
-) -> None:
-    """One row per half-iteration, then a summary row when scores are given.
+def write_report_csv(path, report: IterationReport, summary: Sequence[str] = ()) -> None:
+    """One row per half-iteration, then a summary row when summary is given.
 
-    scores is (Q_std, Q_smo, Q_our); the summary row reuses the three PSNR
-    columns to carry their g values, in that order, and leaves the last
-    two columns empty.
+    summary is RunResult.g_values(): the g of Q_std, Q_smo and Q_our. The
+    summary row carries them in the three PSNR columns, in that order, and
+    leaves the last two columns empty.
     """
     lines = [CSV_HEADER]
     lines.extend(
@@ -280,10 +291,9 @@ def write_report_csv(
         f"{_fmt(e.g)},{_fmt(e.mean_change)},{_fmt(e.clip_fraction)}"
         for e in report.entries
     )
-    if scores:
-        lines.append("summary,all," + ",".join(_fmt(q.g) for q in scores) + ",,")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if summary:
+        lines.append("summary,all," + ",".join(summary) + ",,")
+    _write_lines(path, lines)
 
 
 @dataclass
@@ -309,20 +319,18 @@ def run_protocol(
     The std and smo pairs are written and scored as soon as they exist and
     dropped before refine, so refine's memory does not stack on theirs.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_truth(outdir, inputs, deep)
     truth = (inputs.left, inputs.right)
 
     def write(tag: str, pair) -> QualityScore:
-        for view, m, t in zip(VIEWS, pair, truth):
-            write_pgm(outdir / f"{tag}_{view}.pgm", m, deep=deep)
-            write_pgm(outdir / f"err_{tag}_{view}.pgm", error_map(m, t), deep=deep)
+        _write_pair(outdir, tag, pair, deep)
+        # map builds each error map as it is written, so one is alive at a time.
+        _write_pair(outdir, f"err_{tag}", map(error_map, pair, truth), deep)
         return quality_g(*pair, *truth, round_to_int=True)
 
     descs = [encode_map(t, table) for t in truth]
     for view, desc in zip(VIEWS, descs):
-        desc.save(outdir / f"{view}.qdm")
+        desc.save(Path(outdir, f"{view}.qdm"))
     std = [decode_map(desc) for desc in descs]
     q_std = write("std", std)
     smo = [bilateral_filter(m, opts.sigma_s, opts.sigma_r, opts.radius) for m in std]
@@ -331,20 +339,17 @@ def run_protocol(
     del smo
     cams = inputs.cameras
     *our, report = refine(descs[0], descs[1], cams.left, cams.right, opts, truth)
-    q_our = write("our", our)
-    write_report_csv(outdir / "report.csv", report, (q_std, q_smo, q_our))
-    return RunResult(q_std, q_smo, q_our, report)
+    result = RunResult(q_std, q_smo, write("our", our), report)
+    write_report_csv(Path(outdir, "report.csv"), report, result.g_values())
+    return result
 
 
 def _cmd_generate(args) -> int:
     config = load_config(args.config)
     if config.scene is None:
         raise ConfigError("generate needs a config with a [scene] section")
-    inputs = resolve_inputs(config)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_truth(outdir, inputs, args.pgm16)
-    print(f"wrote truth and mask pair to {outdir}")
+    _write_truth(args.outdir, resolve_inputs(config), args.pgm16)
+    print(f"wrote truth and mask pair to {Path(args.outdir)}")
     return 0
 
 
@@ -374,12 +379,9 @@ def _cmd_refine(args) -> int:
     if args.truth_left is not None:
         truth = (read_pgm(args.truth_left), read_pgm(args.truth_right))
     *our, report = refine(desc_l, desc_r, cameras.left, cameras.right, config.options, truth)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for view, m in zip(VIEWS, our):
-        write_pgm(outdir / f"our_{view}.pgm", m, deep=args.pgm16)
-    write_report_csv(outdir / "report.csv", report)
-    print(f"{_stop_state(report)} -> {outdir}")
+    _write_pair(args.outdir, "our", our, args.pgm16)
+    write_report_csv(Path(args.outdir, "report.csv"), report)
+    print(f"{_stop_state(report)} -> {Path(args.outdir)}")
     return 0
 
 
@@ -390,10 +392,7 @@ def _cmd_evaluate(args) -> int:
         as_map(m, f"--{view} (scored against --ref-{view})", ref.shape, ConfigError)
     score = quality_g(left, right, ref_l, ref_r)
     if args.outdir:
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_pgm(outdir / "err_left.pgm", error_map(left, ref_l))
-        write_pgm(outdir / "err_right.pgm", error_map(right, ref_r))
+        _write_pair(args.outdir, "err", map(error_map, (left, right), (ref_l, ref_r)))
     print(
         f"psnr_left={_fmt(score.psnr_left)} psnr_right={_fmt(score.psnr_right)} "
         f"g={_fmt(score.g)}"
@@ -424,6 +423,7 @@ def _cmd_sweep(args) -> int:
     tables = [_step_table(delta) for delta in deltas]
     inputs = resolve_inputs(config)
     outdir = Path(args.outdir)
+    # Made before any step forks, so that an -o naming a file fails here (EEXIST, exit 3).
     outdir.mkdir(parents=True, exist_ok=True)
 
     def step(i: int) -> RunResult:
@@ -433,8 +433,7 @@ def _cmd_sweep(args) -> int:
     for delta, result in zip(deltas, in_processes(step, len(deltas), "sweep worker")):
         rows.append(",".join([f"{delta:g}", *result.g_values()]))
         print(f"delta {delta:g}: {result.scores()}")
-    with open(outdir / "aggregate.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_lines(outdir / "aggregate.csv", rows)
     return 0
 
 

@@ -218,11 +218,12 @@ class QuantizedDescription:
 
     @property
     def width(self) -> int:
-        return self.orig_width + (-self.orig_width) % BLOCK
+        # int(), as a numpy size of a fixed width could overflow here.
+        return -(-int(self.orig_width) // BLOCK) * BLOCK
 
     @property
     def height(self) -> int:
-        return self.orig_height + (-self.orig_height) % BLOCK
+        return -(-int(self.orig_height) // BLOCK) * BLOCK
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -234,6 +235,11 @@ class QuantizedDescription:
         return (self.width // BLOCK) * (self.height // BLOCK)
 
     def validate(self) -> None:
+        for name in ("orig_width", "orig_height"):
+            require_number(getattr(self, name), name, CorruptDescriptionError, integer=True)
+        require_kind(self.indices, np.ndarray, "indices", CorruptDescriptionError)
+        if self.indices.dtype != np.int32:  # to_bytes would cast other kinds without a word
+            raise CorruptDescriptionError(f"indices must be int32, got {self.indices.dtype}")
         if self.orig_width < 1 or self.orig_height < 1:
             raise CorruptDescriptionError(f"empty map size {self.orig_width}x{self.orig_height}")
         if self.indices.shape != (self.n_blocks, BLOCK, BLOCK):

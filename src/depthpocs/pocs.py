@@ -30,6 +30,7 @@ makes the C library keep freed memory for the next half-iteration.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import mmap
@@ -139,8 +140,6 @@ def _keep_freed_memory() -> None:
     whole process and for the processes it forks. Does nothing where the C
     library has no mallopt.
     """
-    import ctypes  # here, so that importing the package does not load it
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library, or no mallopt

@@ -1154,6 +1154,89 @@ class TestParallelSweep:
             os.waitpid(-1, os.WNOHANG)
 
 
+def pair_files(*tags) -> set[str]:
+    return {f"{tag}_{view}.pgm" for tag in tags for view in ("left", "right")}
+
+
+RUN_FILES = pair_files("truth", "mask", "std", "smo", "our", "err_std", "err_smo", "err_our") | {
+    "left.qdm", "right.qdm", "report.csv"}
+STOP_STATE = r"(converged|stopped) after \d+ iterations"
+
+
+class TestArtifacts:
+    """Each verb writes exactly its files into an -o that does not exist yet,
+    is nested and ends in /, and its stdout names that directory as Path
+    prints it, with no trailing /."""
+
+    @staticmethod
+    def outdir(tmp_path) -> tuple[str, Path]:
+        where = tmp_path / "new" / "deep"
+        return f"{where}/", where
+
+    def test_generate(self, small_cfg, tmp_path, capsys):
+        arg, where = self.outdir(tmp_path)
+        assert main(["generate", str(small_cfg), "-o", arg]) == 0
+        assert set(tree(where)) == pair_files("truth", "mask")
+        assert capsys.readouterr().out == f"wrote truth and mask pair to {where}\n"
+
+    def test_run(self, small_cfg, tmp_path, capsys):
+        arg, where = self.outdir(tmp_path)
+        assert main(["run", str(small_cfg), "-o", arg]) == 0
+        assert set(tree(where)) == RUN_FILES
+        g = read_csv_rows(where / "report.csv")[1][-1][2:5]
+        line = "Q_std={} Q_smo={} Q_our={} ".format(*g)
+        assert re.fullmatch(re.escape(line) + rf"\({STOP_STATE}\)\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("truths", [False, True])
+    def test_refine(self, small_cfg, coded, tmp_path, capsys, truths):
+        arg, where = self.outdir(tmp_path)
+        argv = ["refine", str(small_cfg), "--left-desc", str(coded["left"]),
+                "--right-desc", str(coded["right"]), "-o", arg]
+        if truths:
+            argv += ["--truth-left", str(coded["truth_left"]),
+                     "--truth-right", str(coded["truth_right"])]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert set(tree(where)) == pair_files("our") | {"report.csv"}
+        assert re.fullmatch(rf"{STOP_STATE} -> {re.escape(str(where))}\n", capsys.readouterr().out)
+
+    def test_evaluate(self, tmp_path, capsys):
+        arg, where = self.outdir(tmp_path)
+        maps = {"ref": np.full((16, 16), 100.0), "left": np.full((16, 16), 103.0),
+                "right": np.full((16, 16), 95.0)}
+        for name, m in maps.items():
+            write_pgm(tmp_path / f"{name}.pgm", m)
+        paths = [str(tmp_path / f"{name}.pgm") for name in ("left", "right", "ref", "ref")]
+        argv = ["evaluate", "--left", paths[0], "--right", paths[1],
+                "--ref-left", paths[2], "--ref-right", paths[3], "-o", arg]
+        assert main(argv) == 0
+        assert set(tree(where)) == pair_files("err")
+        for view in ("left", "right"):
+            write_pgm(tmp_path / "want.pgm", error_map(maps[view], maps["ref"]))
+            assert (where / f"err_{view}.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+        score = quality_g(maps["left"], maps["right"], maps["ref"], maps["ref"])
+        assert capsys.readouterr().out == (
+            f"psnr_left={score.psnr_left:.6f} psnr_right={score.psnr_right:.6f} g={score.g:.6f}\n"
+        )
+
+    def test_sweep(self, small_cfg, tmp_path, capsys):
+        arg, where = self.outdir(tmp_path)
+        assert main(["sweep", str(small_cfg), "-o", arg, "--deltas", "16,32"]) == 0
+        assert set(tree(where)) == {"aggregate.csv"} | {
+            f"delta_{d}/{name}" for d in (16, 32) for name in RUN_FILES}
+        _, rows = read_csv_rows(where / "aggregate.csv")
+        assert capsys.readouterr().out == "".join(
+            "delta {}: Q_std={} Q_smo={} Q_our={}\n".format(*row) for row in rows)
+
+    def test_sweep_into_a_file_is_3_before_any_step(self, small_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "file"
+        out.write_text("not a directory")
+        monkeypatch.setattr(cli, "in_processes", lambda *args: pytest.fail("a step ran"))
+        assert main(["sweep", str(small_cfg), "-o", str(out), "--deltas", "16,32"]) == 3
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EEXIST}] File exists: '{out}'\n")
+        assert out.read_text() == "not a directory"
+
+
 # README's exit-code table: 2 invalid configuration, 3 I/O failure
 # (missing or malformed files), 4 numerical failure (or too little memory).
 README_EXIT_CODES = {

@@ -4,7 +4,9 @@ jpeg_table, take drawn values of every kind: strings, None, bools, NaN, the
 infinities, integers past the float range and past the 4,300 digits Python
 prints, complex numbers, Decimals, Fractions, and numpy integers and floats.
 Each call is either accepted or raises a DepthPocsError with exit code 2; any
-other exception, or any warning, fails."""
+other exception, or any warning, fails. A QuantizedDescription's fields take
+such values too, and decode_map, to_bytes and half_iteration either accept it
+or raise with exit code 4, the code of a corrupt description."""
 
 import dataclasses
 import math
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthpocs.codec import flat_table, jpeg_table
+from depthpocs.codec import QuantizedDescription, decode_map, encode_map, flat_table, jpeg_table
 from depthpocs.errors import DepthPocsError
-from depthpocs.pocs import RefineOptions
+from depthpocs.geometry import stereo_pair
+from depthpocs.pocs import RefineOptions, half_iteration
 from depthpocs.scene import Box, Plane, SceneSpec, demo_scene, generate_scene
 
 ODD = st.sampled_from([
@@ -40,13 +43,13 @@ def numbers(low, high, *, integer=False):
     return st.one_of(*forms)
 
 
-def accepted_or_exit_2(call, *args, **kwargs):
+def accepted_or_exit(code, call, *args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             call(*args, **kwargs)
         except DepthPocsError as exc:
-            assert exc.exit_code == 2, repr(exc)
+            assert exc.exit_code == code, repr(exc)
 
 
 def one_odd_field(data, fields):
@@ -117,18 +120,61 @@ def test_huge_integer_is_named_by_its_type(call):
 @given(OPTIONS, st.data())
 def test_refine_options(fields, data):
     one_odd_field(data, fields)
-    accepted_or_exit_2(RefineOptions, **fields)
+    accepted_or_exit(2, RefineOptions, **fields)
 
 
 @settings(max_examples=150, deadline=None)
 @given(SCENES, st.data())
 def test_scene(spec, data):
     one_odd_field(data, vars(data.draw(st.sampled_from([spec, *spec.primitives]))))
-    accepted_or_exit_2(generate_scene, spec)
+    accepted_or_exit(2, generate_scene, spec)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(numbers(-1, 100), ODD), st.one_of(numbers(-5, 110, integer=True), ODD))
 def test_tables(delta, quality):
-    accepted_or_exit_2(flat_table, delta)
-    accepted_or_exit_2(jpeg_table, quality)
+    accepted_or_exit(2, flat_table, delta)
+    accepted_or_exit(2, jpeg_table, quality)
+
+
+# A 10x6 map, coded as 16x8: its padded size differs from its size in both
+# axes, and a width of True (1) or 5.5 pads to the same 8.
+DESC = encode_map(np.full((10, 6), 90.0), flat_table(24.0))
+RIG = stereo_pair(DESC.shape, 100.0, 4.0)
+MAP = np.full(DESC.shape, 90.0)
+
+
+def refine_half(desc):
+    return half_iteration(MAP, RIG.left, RIG.right, desc, MAP, RefineOptions())
+
+
+DESCRIPTION_CALLS = [decode_map, QuantizedDescription.to_bytes, refine_half]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["orig_width", "orig_height", "table", "indices"]), ODD)
+def test_description(name, value):
+    desc = dataclasses.replace(DESC, **{name: value})
+    for call in DESCRIPTION_CALLS:
+        accepted_or_exit(4, call, desc)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("orig_width", 6.0),  # half_iteration took it, decode_map raised a raw TypeError
+    ("orig_width", 5.5),
+    ("orig_width", "6"),
+    ("orig_width", True),  # decoded a 10x1 map
+    ("orig_height", np.int32(2**31 - 1)),  # its padded size overflowed int32, with a warning
+    ("indices", DESC.indices + 0.5),  # decoded, but to_bytes truncated it
+    ("indices", DESC.indices.astype(np.int64) + 2**32),  # to_bytes wrapped it past int32
+    ("indices", DESC.indices.tolist()),
+    ("table", 10**400),  # past the float range
+], ids=["float-size", "fraction", "string", "bool", "int32-max", "float-indices",
+        "int64-indices", "list-indices", "huge-table"])
+def test_description_field_of_another_kind_is_4(name, value):
+    desc = dataclasses.replace(DESC, **{name: value})
+    for call in DESCRIPTION_CALLS:
+        with warnings.catch_warnings(), pytest.raises(DepthPocsError) as info:
+            warnings.simplefilter("error")
+            call(desc)
+        assert info.value.exit_code == 4, call
